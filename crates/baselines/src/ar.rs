@@ -274,8 +274,8 @@ impl FeasibilityEngine for ArEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion::checkers::Checker;
-    use fusion::engine::{analyze, AnalysisOptions};
+    use fusion::checkers::{Checker, CheckerSet};
+    use fusion::engine::{analyze, AnalysisOptions, Engines, Plan};
     use fusion::graph_solver::FusionSolver;
     use fusion_ir::{compile, CompileOptions};
 
@@ -285,10 +285,12 @@ mod tests {
         let run = analyze(
             &p,
             &g,
-            &Checker::null_deref(),
-            engine,
+            &CheckerSet::single(Checker::null_deref()),
+            Engines::One(engine),
             &AnalysisOptions::new(),
-        );
+            Plan::default(),
+        )
+        .into_single();
         (run.reports.len(), run.suppressed)
     }
 
@@ -319,10 +321,12 @@ mod tests {
         let run = analyze(
             &p,
             &g,
-            &Checker::null_deref(),
-            &mut ar,
+            &CheckerSet::single(Checker::null_deref()),
+            Engines::One(&mut ar),
             &AnalysisOptions::new(),
-        );
+            Plan::default(),
+        )
+        .into_single();
         assert_eq!(run.suppressed, 1);
         // The record shows a small instance count (no deep clone needed).
         assert!(ar.records()[0].condition_nodes > 0);

@@ -249,8 +249,8 @@ fn topo_order(program: &Program) -> Vec<FuncId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion::checkers::Checker;
-    use fusion::engine::{analyze, AnalysisOptions};
+    use fusion::checkers::{Checker, CheckerSet};
+    use fusion::engine::{analyze, AnalysisOptions, Engines, Plan};
     use fusion::graph_solver::FusionSolver;
     use fusion_ir::{compile, CompileOptions};
     use fusion_smt::solver::SolverConfig;
@@ -275,10 +275,12 @@ mod tests {
         let fusion_run = analyze(
             &p,
             &g,
-            &Checker::null_deref(),
-            &mut fused,
+            &CheckerSet::single(Checker::null_deref()),
+            Engines::One(&mut fused),
             &AnalysisOptions::new(),
-        );
+            Plan::default(),
+        )
+        .into_single();
         assert_eq!(fusion_run.reports.len(), 0);
     }
 
@@ -300,10 +302,12 @@ mod tests {
         let fusion_run = analyze(
             &p,
             &g,
-            &Checker::null_deref(),
-            &mut fused,
+            &CheckerSet::single(Checker::null_deref()),
+            Engines::One(&mut fused),
             &AnalysisOptions::new(),
-        );
+            Plan::default(),
+        )
+        .into_single();
         assert_eq!(fusion_run.reports.len(), 1, "fusion finds it");
     }
 

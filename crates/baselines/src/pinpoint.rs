@@ -420,8 +420,8 @@ impl FeasibilityEngine for PinpointEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion::checkers::Checker;
-    use fusion::engine::{analyze, AnalysisOptions};
+    use fusion::checkers::{Checker, CheckerSet};
+    use fusion::engine::{analyze, AnalysisOptions, Engines, Plan};
     use fusion::graph_solver::FusionSolver;
     use fusion_ir::{compile, CompileOptions};
 
@@ -448,10 +448,12 @@ mod tests {
         let run = analyze(
             &p,
             &g,
-            &Checker::null_deref(),
-            engine,
+            &CheckerSet::single(Checker::null_deref()),
+            Engines::One(engine),
             &AnalysisOptions::new(),
-        );
+            Plan::default(),
+        )
+        .into_single();
         (run.reports.len(), run.suppressed)
     }
 

@@ -4,8 +4,8 @@
 //! One comparison over a synthetic corpus: the fused multi-client scan
 //! **with** abstract-interpretation triage + solver seeding
 //! (`AnalysisOptions::absint = true`, the default) against the same scan
-//! **without** it (the CLI's `--no-absint`). Both sides run the
-//! streaming pipeline at the same thread count over the same program,
+//! **without** it (the CLI's `--no-absint`). Both sides run the one
+//! driver at the same thread count over the same program,
 //! and their per-checker reports are asserted byte-identical — triage is
 //! refute-only, so it may only make the scan cheaper, never different.
 //!
@@ -26,19 +26,15 @@
 //! finished within 100% of the untriaged wall — the CI regression gate
 //! for the triage layer.
 
-use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
 use fusion::engine::{
-    analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
-    FeasibilityEngine, MultiAnalysisRun,
+    analyze, AnalysisOptions, Engines, FeasibilityEngine, MultiAnalysisRun, Plan,
 };
 use fusion::graph_solver::FusionSolver;
-use fusion::slice_cache::SliceCache;
 use fusion_bench::{banner, default_budget, report, scale_from_env};
 use fusion_ir::{compile, CompileOptions};
 use fusion_pdg::graph::Pdg;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Thread count both sides run at.
@@ -158,18 +154,18 @@ fn measure(
         ..Default::default()
     };
     for _ in 0..ITERS {
-        let cache = VerdictCache::new();
-        let mut opts = AnalysisOptions::new().with_slice_cache(Arc::new(SliceCache::new()));
-        opts.absint = absint;
+        let opts = AnalysisOptions {
+            absint,
+            ..AnalysisOptions::new()
+        };
         let t = Instant::now();
-        let run = analyze_multi_streaming_with_cache(
+        let run = analyze(
             program,
             pdg,
             set,
-            &make,
-            THREADS,
+            Engines::PerThread(&make, THREADS),
             &opts,
-            Some(&cache),
+            Plan::default(),
         );
         let wall = t.elapsed().as_micros();
         if breakdown_keys(&run) != want {
@@ -205,17 +201,16 @@ fn main() {
 
     // Reference transcript: sequential, triage off — the pure solver
     // pipeline the triaged runs must reproduce byte-for-byte.
-    let seq_cache = VerdictCache::new();
     let mut seq_engine = FusionSolver::new(budget);
     let mut seq_opts = AnalysisOptions::new();
     seq_opts.absint = false;
-    let reference = analyze_multi_with_cache(
+    let reference = analyze(
         &program,
         &pdg,
         &set,
-        &mut seq_engine,
+        Engines::One(&mut seq_engine),
         &seq_opts,
-        Some(&seq_cache),
+        Plan::default(),
     );
     let want = breakdown_keys(&reference);
     assert!(

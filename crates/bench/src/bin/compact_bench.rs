@@ -7,9 +7,9 @@
 //! `--no-compact`). Both measured sides run the sequential pipeline over
 //! the same program, and their per-checker reports are asserted
 //! byte-identical against an uncompacted sequential reference —
-//! compaction removes work, never findings. A streaming compacted run
-//! is checked against the same reference so the parallel drivers stay
-//! honest too.
+//! compaction removes work, never findings. A compacted run at
+//! `THREADS` threads is checked against the same reference so the
+//! work-stealing schedule stays honest too.
 //!
 //! The corpus mixes three populations, one per compaction layer:
 //!
@@ -30,22 +30,18 @@
 //! 100% of the uncompacted wall with byte-identical reports — the CI
 //! regression gate for the compaction layer.
 
-use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
 use fusion::engine::{
-    analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
-    FeasibilityEngine, MultiAnalysisRun,
+    analyze, AnalysisOptions, Engines, FeasibilityEngine, MultiAnalysisRun, Plan,
 };
 use fusion::graph_solver::FusionSolver;
-use fusion::slice_cache::SliceCache;
 use fusion_bench::{banner, default_budget, report, scale_from_env};
 use fusion_ir::{compile, CompileOptions};
 use fusion_pdg::graph::Pdg;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Thread count the streaming identity check runs at.
+/// Thread count the threaded identity check runs at.
 const THREADS: usize = 4;
 /// Wall-clock measurements take the best of this many repetitions.
 const ITERS: usize = 3;
@@ -141,12 +137,14 @@ fn measure(
         ..Default::default()
     };
     for _ in 0..ITERS {
-        let cache = VerdictCache::new();
         let mut engine = FusionSolver::new(budget);
-        let mut opts = AnalysisOptions::new().with_slice_cache(Arc::new(SliceCache::new()));
-        opts.compact = compact;
+        let opts = AnalysisOptions {
+            compact,
+            ..AnalysisOptions::new()
+        };
         let t = Instant::now();
-        let run = analyze_multi_with_cache(program, pdg, set, &mut engine, &opts, Some(&cache));
+        let engines = Engines::One(&mut engine);
+        let run = analyze(program, pdg, set, engines, &opts, Plan::default());
         let wall = t.elapsed().as_micros();
         if breakdown_keys(&run) != want {
             *identical = false;
@@ -178,17 +176,16 @@ fn main() {
 
     // Reference transcript: sequential, compaction off — the plain
     // discovery the compacted runs must reproduce byte-for-byte.
-    let seq_cache = VerdictCache::new();
     let mut seq_engine = FusionSolver::new(default_budget());
     let mut seq_opts = AnalysisOptions::new();
     seq_opts.compact = false;
-    let reference = analyze_multi_with_cache(
+    let reference = analyze(
         &program,
         &pdg,
         &set,
-        &mut seq_engine,
+        Engines::One(&mut seq_engine),
         &seq_opts,
-        Some(&seq_cache),
+        Plan::default(),
     );
     let want = breakdown_keys(&reference);
     assert!(
@@ -200,22 +197,22 @@ fn main() {
     let off = measure(&program, &pdg, &set, false, &want, &mut identical);
     let on = measure(&program, &pdg, &set, true, &want, &mut identical);
 
-    // The parallel drivers consume the same compacted graph; one
-    // streaming run keeps them pinned to the sequential reference.
+    // Work-stealing workers consume the same compacted graph; one
+    // threaded run keeps them pinned to the sequential reference.
     let make = factory();
-    let stream_cache = VerdictCache::new();
-    let mut stream_opts = AnalysisOptions::new().with_slice_cache(Arc::new(SliceCache::new()));
-    stream_opts.compact = true;
-    let streamed = analyze_multi_streaming_with_cache(
+    let threaded_opts = AnalysisOptions {
+        compact: true,
+        ..AnalysisOptions::new()
+    };
+    let threaded = analyze(
         &program,
         &pdg,
         &set,
-        &make,
-        THREADS,
-        &stream_opts,
-        Some(&stream_cache),
+        Engines::PerThread(&make, THREADS),
+        &threaded_opts,
+        Plan::default(),
     );
-    if breakdown_keys(&streamed) != want {
+    if breakdown_keys(&threaded) != want {
         identical = false;
     }
     assert!(

@@ -23,8 +23,8 @@
 //! AND strictly fewer CNF clauses than the baseline, all verdicts and
 //! reports agree, and wall stays within 110% of the baseline.
 
-use fusion::checkers::Checker;
-use fusion::engine::{analyze, AnalysisOptions, Feasibility};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, Engines, Feasibility, Plan};
 use fusion::graph_solver::FusionSolver;
 use fusion::propagate::{discover, Candidate, PropagateOptions};
 use fusion_bench::{banner, default_budget, report, scale_from_env};
@@ -260,10 +260,12 @@ fn main() {
             analyze(
                 &entry.program,
                 &entry.pdg,
-                &checker,
-                &mut engine,
+                &CheckerSet::single(checker.clone()),
+                Engines::One(&mut engine),
                 &AnalysisOptions::without_cache(),
+                Plan::default(),
             )
+            .into_single()
         };
         let run_on = run_scan(true);
         let run_off = run_scan(false);

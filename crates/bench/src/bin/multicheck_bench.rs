@@ -2,13 +2,12 @@
 //! (`BENCH_multicheck.json`).
 //!
 //! One comparison over a synthetic multi-client corpus: running three
-//! checkers as **one fused pass** (`analyze_multi_streaming_with_cache`
-//! over the whole [`CheckerSet`]) against the old way — a **per-checker
-//! loop** of three independent single-checker scans, each with its own
-//! fresh engine, verdict cache, and slice memo (three separate tool
-//! invocations). Both sides run the streaming pipeline at the same
-//! thread count, and the fused per-checker reports are asserted
-//! byte-identical to single-checker sequential runs.
+//! checkers as **one fused pass** (`analyze` over the whole
+//! [`CheckerSet`]) against the old way — a **per-checker loop** of three
+//! independent single-checker scans, each with its own fresh engine,
+//! verdict cache, and slice memo (three separate tool invocations). Both
+//! sides run at the same thread count, and the fused per-checker reports
+//! are asserted byte-identical to single-checker sequential runs.
 //!
 //! The corpus is built so the clients genuinely overlap: checker A taints
 //! `gets → fopen`, checker B taints `getpass → send`, and checker C (an
@@ -25,19 +24,15 @@
 //! 90% of the per-checker loop's wall — the CI regression gate for the
 //! multi-client fusion.
 
-use fusion::cache::VerdictCache;
 use fusion::checkers::{CheckKind, Checker, CheckerSet};
 use fusion::engine::{
-    analyze_multi_streaming_with_cache, analyze_multi_with_cache, analyze_streaming_with_cache,
-    AnalysisOptions, FeasibilityEngine, MultiAnalysisRun,
+    analyze, AnalysisOptions, Engines, FeasibilityEngine, MultiAnalysisRun, Plan,
 };
 use fusion::graph_solver::FusionSolver;
-use fusion::slice_cache::SliceCache;
 use fusion_bench::{banner, default_budget, report, scale_from_env};
 use fusion_ir::{compile, CompileOptions};
 use fusion_pdg::graph::Pdg;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Thread count both sides run at (the ISSUE's "at 4 threads"
@@ -141,17 +136,16 @@ fn main() {
     let make = factory();
 
     // Reference transcripts: one sequential fused run, split per checker
-    // (itself asserted against the single-checker wrappers by the test
-    // suite; here it pins the parallel runs).
-    let seq_cache = VerdictCache::new();
+    // (itself asserted against single-checker runs by the test suite;
+    // here it pins the parallel runs).
     let mut seq_engine = FusionSolver::new(budget);
-    let reference = analyze_multi_with_cache(
+    let reference = analyze(
         &program,
         &pdg,
         &set,
-        &mut seq_engine,
+        Engines::One(&mut seq_engine),
         &AnalysisOptions::new(),
-        Some(&seq_cache),
+        Plan::default(),
     );
     let want = breakdown_keys(&reference);
     assert!(
@@ -179,17 +173,15 @@ fn main() {
         let mut rep_reused = 0u64;
         let mut rep_keys = Vec::new();
         for checker in &checkers {
-            let cache = VerdictCache::new();
-            let opts = AnalysisOptions::new().with_slice_cache(Arc::new(SliceCache::new()));
-            let run = analyze_streaming_with_cache(
+            let run = analyze(
                 &program,
                 &pdg,
-                checker,
-                &make,
-                THREADS,
-                &opts,
-                Some(&cache),
-            );
+                &CheckerSet::single(checker.clone()),
+                Engines::PerThread(&make, THREADS),
+                &AnalysisOptions::new(),
+                Plan::default(),
+            )
+            .into_single();
             rep_sessions += run.stages.sessions_opened;
             rep_slices += run.stages.slices_computed;
             rep_reused += run.stages.slices_reused;
@@ -206,19 +198,17 @@ fn main() {
             loop_reused = rep_reused;
         }
 
-        // Fused pass: the whole set in one streaming run, one verdict
-        // cache and one slice memo across all clients.
-        let cache = VerdictCache::new();
-        let opts = AnalysisOptions::new().with_slice_cache(Arc::new(SliceCache::new()));
+        // Fused pass: the whole set in one run, one verdict cache and
+        // one slice memo across all clients.
+        let opts = AnalysisOptions::new();
         let t = Instant::now();
-        let run = analyze_multi_streaming_with_cache(
+        let run = analyze(
             &program,
             &pdg,
             &set,
-            &make,
-            THREADS,
+            Engines::PerThread(&make, THREADS),
             &opts,
-            Some(&cache),
+            Plan::default(),
         );
         let wall = t.elapsed().as_micros();
         if breakdown_keys(&run) != want {

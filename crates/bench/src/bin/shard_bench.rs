@@ -6,8 +6,7 @@
 //! on-disk snapshot with only its call-graph closure materialized, and
 //! replaying the merged outcomes bounds per-shard peak memory below the
 //! whole-program peak — while the merged report stays byte-identical to
-//! the unsharded streaming pipeline and the merge replays with zero
-//! solver queries.
+//! the unsharded scan and the merge replays with zero solver queries.
 //!
 //! Corpus: a deterministic multi-module subject (`generate_multi`) of
 //! eight disconnected components sharing only extern declarations, so
@@ -20,20 +19,17 @@
 //! sharded wall stays within 115% of the unsharded wall — the CI
 //! regression gate.
 
-use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
 use fusion::engine::{
-    analyze_multi_streaming_with_cache, AnalysisOptions, FeasibilityEngine, MultiAnalysisRun,
+    analyze, AnalysisOptions, Engines, FeasibilityEngine, MultiAnalysisRun, Plan,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::shard::analyze_sharded;
-use fusion::slice_cache::SliceCache;
 use fusion_bench::{banner, default_budget, fmt_mib, report, scale_from_env};
 use fusion_ir::{compile, CompileOptions, Program};
 use fusion_pdg::graph::Pdg;
 use fusion_workloads::{generate_multi, GenConfig};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Thread count every run uses and the CI gate is applied at.
@@ -82,10 +78,6 @@ fn factory() -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync {
     move || Box::new(FusionSolver::new(budget)) as Box<dyn FeasibilityEngine>
 }
 
-fn options() -> AnalysisOptions {
-    AnalysisOptions::new().with_slice_cache(Arc::new(SliceCache::new()))
-}
-
 type ReportKey = (
     String,
     fusion_pdg::graph::Vertex,
@@ -127,7 +119,7 @@ struct Row {
 
 fn main() {
     banner(
-        "shard_bench: K-way partitioned scan vs unsharded streaming",
+        "shard_bench: K-way partitioned scan vs unsharded scan",
         "on-disk snapshots, closure-only materialization; reports asserted identical",
     );
     let scale = scale_from_env();
@@ -153,32 +145,28 @@ fn main() {
     let mut sharded_runs: Vec<Option<fusion::shard::ShardedRun>> =
         K_COUNTS.iter().map(|_| None).collect();
     for _ in 0..ITERS {
-        let cache = VerdictCache::new();
         // The PDG build is inside the timer: an unsharded scan pays it,
         // exactly as the sharded pipeline pays its snapshot + replay.
         let t = Instant::now();
         let pdg = Pdg::build(&program);
-        let run = analyze_multi_streaming_with_cache(
+        let run = analyze(
             &program,
             &pdg,
             &set,
-            &make,
-            GATE_THREADS,
-            &options(),
-            Some(&cache),
+            Engines::PerThread(&make, GATE_THREADS),
+            &AnalysisOptions::new(),
+            Plan::default(),
         );
         base_wall = base_wall.min(t.elapsed().as_micros());
         base_run = Some(run);
         for (ki, &k) in K_COUNTS.iter().enumerate() {
-            let cache = VerdictCache::new();
             let t = Instant::now();
             let sharded = analyze_sharded(
                 &program,
                 &set,
                 &make,
                 GATE_THREADS,
-                &options(),
-                Some(&cache),
+                &AnalysisOptions::new(),
                 k,
                 Some(dir.as_path()),
             )
@@ -285,7 +273,7 @@ fn main() {
     // within 115%.
     let gate = report::Gate::from_env();
     gate.require(all_identical, || {
-        "sharded reports diverged from the unsharded streaming scan".into()
+        "sharded reports diverged from the unsharded scan".into()
     });
     gate.require(
         gate_row

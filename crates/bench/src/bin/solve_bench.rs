@@ -20,8 +20,8 @@
 //! non-zero when session mode is more than 10% slower than cold mode on
 //! the corpus aggregate — the CI regression gate.
 
-use fusion::checkers::Checker;
-use fusion::engine::{analyze, AnalysisOptions, AnalysisRun, Feasibility};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, AnalysisRun, Engines, Feasibility, Plan};
 use fusion::graph_solver::FusionSolver;
 use fusion::propagate::{discover, Candidate, PropagateOptions};
 use fusion_bench::{banner, build_subject, default_budget, report, scale_from_env};
@@ -290,10 +290,12 @@ fn main() {
             let run = analyze(
                 &entry.program,
                 &entry.pdg,
-                &checker,
-                &mut engine,
+                &CheckerSet::single(checker.clone()),
+                Engines::One(&mut engine),
                 &AnalysisOptions::without_cache(),
-            );
+                Plan::default(),
+            )
+            .into_single();
             let us = t.elapsed().as_micros();
             (run, engine.metrics().terms_built, us)
         };

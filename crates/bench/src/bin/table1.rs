@@ -8,9 +8,8 @@
 //! The harness sweeps `k` and prints, per design: materialized instances,
 //! condition size (DAG nodes), solve time, and retained (cached) bytes.
 
-use fusion::cache::VerdictCache;
-use fusion::checkers::Checker;
-use fusion::engine::{analyze_with_cache, AnalysisOptions, FeasibilityEngine};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, Engines, FeasibilityEngine, Plan};
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion::memory::Category;
 use fusion::propagate::{discover, PropagateOptions};
@@ -119,25 +118,23 @@ fn main() {
     let src = program_source(32, n);
     let program = compile(&src, CompileOptions::default()).expect("compile");
     let pdg = Pdg::build(&program);
-    let cache = VerdictCache::new();
     let mut engine = FusionSolver::new(default_budget());
+    // One options value: both passes share its verdict cache.
     let opts = AnalysisOptions::new();
-    let first = analyze_with_cache(
-        &program,
-        &pdg,
-        &Checker::null_deref(),
-        &mut engine,
-        &opts,
-        Some(&cache),
-    );
-    let second = analyze_with_cache(
-        &program,
-        &pdg,
-        &Checker::null_deref(),
-        &mut engine,
-        &opts,
-        Some(&cache),
-    );
+    let set = CheckerSet::single(Checker::null_deref());
+    let mut pass = || {
+        analyze(
+            &program,
+            &pdg,
+            &set,
+            Engines::One(&mut engine),
+            &opts,
+            Plan::default(),
+        )
+        .into_single()
+    };
+    let first = pass();
+    let second = pass();
     println!(
         "\nverdict cache (k=32): first pass {:.0}% hit rate ({} miss), \
          re-analysis {:.0}% hit rate ({} hit, {} solver queries)",

@@ -12,8 +12,8 @@
 
 #![warn(missing_docs)]
 
-use fusion::checkers::Checker;
-use fusion::engine::{analyze, AnalysisOptions, AnalysisRun, FeasibilityEngine};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, AnalysisRun, Engines, FeasibilityEngine, Plan};
 use fusion_ir::{compile_ast, CompileOptions, Program};
 use fusion_pdg::graph::Pdg;
 use fusion_smt::solver::SolverConfig;
@@ -83,10 +83,12 @@ pub fn run_checker(
     analyze(
         &subject.program,
         &subject.pdg,
-        checker,
-        engine,
+        &CheckerSet::single(checker.clone()),
+        Engines::One(engine),
         &AnalysisOptions::new(),
+        Plan::default(),
     )
+    .into_single()
 }
 
 /// Formats a duration as fractional seconds.

@@ -19,10 +19,9 @@
 //!                                        query / stats / shutdown), responses on
 //!                                        stdout, with the PDG, facts, caches, and
 //!                                        verdicts resident between requests
-//!     --threads N                        parallel candidate checking
+//!     --threads N                        solver engines (and discovery shards)
+//!                                        working in parallel (default: 1)
 //!     --cache / --no-cache               shared feasibility-verdict cache (default: on)
-//!     --stream / --no-stream             streaming discovery→solve pipeline for
-//!                                        --threads > 1 (default: on)
 //!     --no-incremental                   disable incremental solver sessions (fusion engine)
 //!     --absint / --no-absint             abstract-interpretation triage and solver
 //!                                        seeding (default: on; refute-only, findings
@@ -67,14 +66,13 @@ pub mod shards;
 use fusion::cache::VerdictCache;
 use fusion::checkers::{CheckKind, Checker, CheckerSet};
 use fusion::engine::{
-    analyze_multi_parallel_with_cache, analyze_multi_streaming_with_cache,
-    analyze_multi_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine, MultiAnalysisRun,
+    analyze, AnalysisOptions, Engines, Feasibility, FeasibilityEngine, MultiAnalysisRun, Plan,
 };
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
-use fusion::slice_cache::SliceCache;
 use fusion_baselines::{ArEngine, PinpointEngine};
 use fusion_ir::{compile, CompileOptions};
 use fusion_pdg::graph::Pdg;
+use fusion_smt::egraph::EGraphConfig;
 use fusion_smt::solver::SolverConfig;
 use std::fmt;
 use std::fmt::Write as _;
@@ -122,15 +120,12 @@ pub struct Options {
     pub json: bool,
     /// Print statistics.
     pub stats: bool,
-    /// Worker threads for candidate checking (1 = sequential).
+    /// Solver engines working in parallel, one per thread; discovery is
+    /// sharded across as many threads (1 = sequential). Findings are
+    /// byte-identical at any count.
     pub threads: usize,
     /// Share one feasibility-verdict cache across checkers and workers.
     pub use_cache: bool,
-    /// Stream completed sink groups from discovery shards straight into
-    /// solve workers (`--threads` > 1). `--no-stream` falls back to the
-    /// barrier pipeline (discover everything, then solve). Findings are
-    /// byte-identical either way.
-    pub stream: bool,
     /// Incremental solver sessions for the fusion engine: queries in one
     /// slice group share a persistent SAT solver and bit-blast memo.
     /// `--no-incremental` forces a cold solve per query (the other engines
@@ -210,11 +205,10 @@ impl Default for Options {
             stats: false,
             threads: 1,
             use_cache: true,
-            stream: true,
             incremental: true,
             absint: true,
-            compact: std::env::var_os("FUSION_NO_COMPACT").is_none(),
-            egraph: std::env::var_os("FUSION_NO_EGRAPH").is_none(),
+            compact: AnalysisOptions::default().compact,
+            egraph: EGraphConfig::default().enabled,
             validate: false,
             dot: None,
             extra_sources: Vec::new(),
@@ -346,8 +340,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--stats" => opts.stats = true,
             "--cache" => opts.use_cache = true,
             "--no-cache" => opts.use_cache = false,
-            "--stream" => opts.stream = true,
-            "--no-stream" => opts.stream = false,
             "--no-incremental" => opts.incremental = false,
             "--absint" => opts.absint = true,
             "--no-absint" => opts.absint = false,
@@ -390,7 +382,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                      [--checker null|cwe23|cwe402|all] [--list-checkers] \
                      [--timeout-secs N] \
                      [--solver-timeout-ms N] [--threads N] [--cache|--no-cache] \
-                     [--stream|--no-stream] [--no-incremental] \
+                     [--no-incremental] \
                      [--absint|--no-absint] [--compact|--no-compact] \
                      [--egraph|--no-egraph] [--validate] [--dot FILE] \
                      [--shards K] [--shard-workers N] [--snapshot-dir DIR] \
@@ -562,8 +554,7 @@ pub struct ScanReport {
     pub cache_misses: u64,
     /// Bytes retained by the shared verdict cache at the end of the scan.
     pub cache_bytes: u64,
-    /// Wall-clock milliseconds of candidate discovery (summed over runs;
-    /// overlaps solving in the streaming pipeline).
+    /// Wall-clock milliseconds of candidate discovery (summed over runs).
     pub discover_ms: f64,
     /// Engine milliseconds computing slice closures and constraints
     /// (summed over workers and runs).
@@ -761,6 +752,25 @@ impl ScanReport {
     }
 }
 
+/// The engine factory `opts` selects: one engine per worker thread.
+fn engine_factory(opts: &Options) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync {
+    let (choice, timeout, incremental, egraph) =
+        (opts.engine, opts.timeout, opts.incremental, opts.egraph);
+    move || make_engine(choice, timeout, incremental, egraph)
+}
+
+/// The analysis configuration `opts` selects, with a fresh verdict cache
+/// (unless `--no-cache`) and a fresh slice-closure cache, each shared by
+/// every checker and worker of a scan.
+fn analysis_options(opts: &Options) -> AnalysisOptions {
+    AnalysisOptions {
+        cache: opts.use_cache.then(|| Arc::new(VerdictCache::new())),
+        absint: opts.absint,
+        compact: opts.compact,
+        ..AnalysisOptions::new()
+    }
+}
+
 fn make_engine(
     choice: EngineChoice,
     timeout: Duration,
@@ -886,30 +896,12 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
         let dot = fusion_pdg::dot::pdg_to_dot(&program, &pdg, None);
         std::fs::write(path, dot).map_err(|e| CliError(format!("cannot write `{path}`: {e}")))?;
     }
-    // One verdict cache and one slice-closure cache for the whole scan,
-    // shared across checkers and, in parallel runs, across workers; the
-    // whole checker set runs as one fused multi-client pass.
-    let shared_cache = VerdictCache::new();
-    let cache = opts.use_cache.then_some(&shared_cache);
-    let slice_cache = Arc::new(SliceCache::new());
-    let mut analysis_opts = AnalysisOptions::new().with_slice_cache(Arc::clone(&slice_cache));
-    analysis_opts.absint = opts.absint;
-    analysis_opts.compact = opts.compact;
+    // The whole checker set runs as one fused multi-client pass.
+    let analysis_opts = analysis_options(opts);
+    let factory = engine_factory(opts);
     let run: MultiAnalysisRun = if opts.shards > 0 {
-        let engine_choice = opts.engine;
-        let timeout = opts.timeout;
-        let incremental = opts.incremental;
-        let egraph = opts.egraph;
-        let factory = move || make_engine(engine_choice, timeout, incremental, egraph);
         let sharded = if opts.shard_workers > 0 {
-            shards::analyze_sharded_multiprocess(
-                &program,
-                &set,
-                &factory,
-                opts,
-                &analysis_opts,
-                cache,
-            )?
+            shards::analyze_sharded_multiprocess(&program, &set, &factory, opts, &analysis_opts)?
         } else {
             fusion::shard::analyze_sharded(
                 &program,
@@ -917,48 +909,27 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
                 &factory,
                 opts.threads,
                 &analysis_opts,
-                cache,
                 opts.shards,
                 opts.snapshot_dir.as_deref().map(std::path::Path::new),
             )
             .map_err(|e| CliError(format!("partitioned scan failed: {e}")))?
         };
         sharded.run
-    } else if opts.threads > 1 {
-        let engine_choice = opts.engine;
-        let timeout = opts.timeout;
-        let incremental = opts.incremental;
-        let egraph = opts.egraph;
-        let factory = move || make_engine(engine_choice, timeout, incremental, egraph);
-        if opts.stream {
-            analyze_multi_streaming_with_cache(
-                &program,
-                &pdg,
-                &set,
-                &factory,
-                opts.threads,
-                &analysis_opts,
-                cache,
-            )
-        } else {
-            analyze_multi_parallel_with_cache(
-                &program,
-                &pdg,
-                &set,
-                &factory,
-                opts.threads,
-                &analysis_opts,
-                cache,
-            )
-        }
     } else {
-        let mut engine = make_engine(opts.engine, opts.timeout, opts.incremental, opts.egraph);
-        analyze_multi_with_cache(&program, &pdg, &set, engine.as_mut(), &analysis_opts, cache)
+        let engines = Engines::PerThread(&factory, opts.threads);
+        analyze(
+            &program,
+            &pdg,
+            &set,
+            engines,
+            &analysis_opts,
+            Plan::default(),
+        )
     };
     fill_report(&mut report, &program, &run);
     report.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    report.cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0);
-    report.slice_cache_bytes = slice_cache.bytes();
+    report.cache_bytes = analysis_opts.cache.map(|c| c.bytes()).unwrap_or(0);
+    report.slice_cache_bytes = analysis_opts.slice_cache.map(|c| c.bytes()).unwrap_or(0);
     Ok(report)
 }
 
@@ -1473,17 +1444,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_flags_parse() {
-        let o = parse_args(&args(&["a.fus"])).unwrap();
-        assert!(o.stream, "streaming is the default");
-        let o = parse_args(&args(&["--no-stream", "a.fus"])).unwrap();
-        assert!(!o.stream);
-        let o = parse_args(&args(&["--no-stream", "--stream", "a.fus"])).unwrap();
-        assert!(o.stream);
-    }
-
-    #[test]
-    fn streaming_scan_matches_barrier_scan() {
+    fn threaded_scans_match_the_sequential_scan() {
         let src = "extern fn deref(p);\n\
             fn a(x) { let q = null; let r = 1; if (x > 1) { r = q; } deref(r); return 0; }\n\
             fn b(x) { let q = null; let r = 1; if (x * 2 == 5) { r = q; } deref(r); return 0; }\n\
@@ -1510,8 +1471,8 @@ mod tests {
             },
         )
         .unwrap();
-        for threads in [2, 4] {
-            let streaming = scan_source(
+        for threads in [1, 2, 4, 8] {
+            let threaded = scan_source(
                 src,
                 &Options {
                     checker: CheckerChoice::Null,
@@ -1520,21 +1481,13 @@ mod tests {
                 },
             )
             .unwrap();
-            let barrier = scan_source(
-                src,
-                &Options {
-                    checker: CheckerChoice::Null,
-                    threads,
-                    stream: false,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(key(&seq), key(&streaming), "threads={threads}");
-            assert_eq!(key(&seq), key(&barrier), "threads={threads}");
-            assert_eq!(seq.suppressed, streaming.suppressed);
-            assert_eq!(seq.suppressed, barrier.suppressed);
+            assert_eq!(key(&seq), key(&threaded), "threads={threads}");
+            assert_eq!(seq.suppressed, threaded.suppressed);
         }
+        assert!(
+            parse_args(&args(&["--no-stream", "a.fus"])).is_err(),
+            "`--no-stream` is not a flag"
+        );
     }
 
     #[test]
@@ -1650,14 +1603,11 @@ mod tests {
 
     #[test]
     fn compact_flags_parse_and_compaction_preserves_findings() {
-        // The default tracks FUSION_NO_COMPACT so the CI matrix can run
-        // the whole suite uncompacted.
+        // The default is the analysis default, which tracks
+        // FUSION_NO_COMPACT so the CI matrix can run the whole suite
+        // uncompacted.
         let o = parse_args(&args(&["a.fus"])).unwrap();
-        assert_eq!(
-            o.compact,
-            std::env::var_os("FUSION_NO_COMPACT").is_none(),
-            "compaction is the default unless FUSION_NO_COMPACT is set"
-        );
+        assert_eq!(o.compact, AnalysisOptions::default().compact);
         let o = parse_args(&args(&["--no-compact", "a.fus"])).unwrap();
         assert!(!o.compact);
         let o = parse_args(&args(&["--no-compact", "--compact", "a.fus"])).unwrap();
@@ -1739,14 +1689,11 @@ mod tests {
 
     #[test]
     fn egraph_flags_parse_and_simplification_preserves_findings() {
-        // The default tracks FUSION_NO_EGRAPH so the CI matrix can run
-        // the whole suite with the saturation leg off.
+        // The default is the solver default, which tracks
+        // FUSION_NO_EGRAPH so the CI matrix can run the whole suite with
+        // the saturation leg off.
         let o = parse_args(&args(&["a.fus"])).unwrap();
-        assert_eq!(
-            o.egraph,
-            std::env::var_os("FUSION_NO_EGRAPH").is_none(),
-            "the e-graph is the default unless FUSION_NO_EGRAPH is set"
-        );
+        assert_eq!(o.egraph, EGraphConfig::default().enabled);
         let o = parse_args(&args(&["--no-egraph", "a.fus"])).unwrap();
         assert!(!o.egraph);
         let o = parse_args(&args(&["--no-egraph", "--egraph", "a.fus"])).unwrap();

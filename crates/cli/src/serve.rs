@@ -43,14 +43,13 @@
 //! state untouched.
 
 use crate::json::{self, escape};
-use crate::{effective_checkers, fill_report, make_engine, Finding, Options, ScanReport};
-use fusion::engine::AnalysisOptions;
+use crate::{
+    analysis_options, effective_checkers, engine_factory, fill_report, Finding, Options, ScanReport,
+};
 use fusion::incremental::AnalysisSession;
-use fusion::slice_cache::SliceCache;
 use fusion_ir::{compile, CompileOptions};
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
-use std::sync::Arc;
 
 /// Collapses the pretty-printed report JSON onto one line (JSON
 /// whitespace is insignificant, and every string value is escaped, so
@@ -88,13 +87,8 @@ fn respond_err(out: &mut dyn Write, msg: &str) {
 /// since a vanished client is the normal way such a service dies).
 pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i32 {
     let (set, warnings) = effective_checkers(opts);
-    let mut analysis_opts = AnalysisOptions::new().with_slice_cache(Arc::new(SliceCache::new()));
-    analysis_opts.absint = opts.absint;
-    analysis_opts.compact = opts.compact;
-    let mut session = AnalysisSession::new(set, analysis_opts, opts.threads);
-    let (engine_choice, timeout, incremental, egraph) =
-        (opts.engine, opts.timeout, opts.incremental, opts.egraph);
-    let factory = move || make_engine(engine_choice, timeout, incremental, egraph);
+    let mut session = AnalysisSession::new(set, analysis_options(opts), opts.threads);
+    let factory = engine_factory(opts);
     let compile_opts = CompileOptions {
         loop_unroll: opts.unroll,
         recursion_unroll: opts.unroll,

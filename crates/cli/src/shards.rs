@@ -15,8 +15,10 @@
 //! cross the process boundary — never a path condition (§3.2.2).
 
 use crate::json::{self, escape};
-use crate::{effective_checkers, make_engine, CheckerChoice, CliError, EngineChoice, Options};
-use fusion::cache::VerdictCache;
+use crate::{
+    analysis_options, effective_checkers, engine_factory, CheckerChoice, CliError, EngineChoice,
+    Options,
+};
 use fusion::checkers::CheckerSet;
 use fusion::engine::{AnalysisOptions, FeasibilityEngine, ItemOutcomes};
 use fusion::shard::{
@@ -84,24 +86,15 @@ fn run_worker_job(opts: &Options, line: &str) -> Result<String, CliError> {
         snapshot::read_callgraph(&snap).map_err(|e| CliError(format!("read call graph: {e}")))?;
     let plan = ShardPlan::compute(&info, k);
     let (set, _) = effective_checkers(opts);
-    let mut analysis_opts = AnalysisOptions::new();
-    analysis_opts.absint = opts.absint;
-    analysis_opts.compact = opts.compact;
-    let (engine_choice, timeout, incremental, egraph) =
-        (opts.engine, opts.timeout, opts.incremental, opts.egraph);
-    let factory = move || make_engine(engine_choice, timeout, incremental, egraph);
-    let shared_cache = VerdictCache::new();
-    let cache = opts.use_cache.then_some(&shared_cache);
     let output = run_shard(
         &snap,
         &info,
         &plan,
         shard,
         &set,
-        &factory,
+        &engine_factory(opts),
         opts.threads,
-        &analysis_opts,
-        cache,
+        &analysis_options(opts),
     )
     .map_err(|e| CliError(format!("shard {shard} failed: {e}")))?;
     let container = outcomes_container(&output.outcomes);
@@ -182,11 +175,6 @@ fn push_analysis_flags(cmd: &mut Command, opts: &Options) {
     } else {
         "--no-cache"
     });
-    cmd.arg(if opts.stream {
-        "--stream"
-    } else {
-        "--no-stream"
-    });
     if !opts.incremental {
         cmd.arg("--no-incremental");
     }
@@ -222,14 +210,12 @@ fn push_analysis_flags(cmd: &mut Command, opts: &Options) {
 /// workers, merge the outcome containers they write, and replay the
 /// merged set over the full program. The replayed report is
 /// byte-identical to the unsharded scan.
-#[allow(clippy::too_many_arguments)]
 pub fn analyze_sharded_multiprocess(
     program: &Program,
     set: &CheckerSet,
     factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
     opts: &Options,
     analysis_opts: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
 ) -> Result<ShardedRun, CliError> {
     let k = opts.shards;
     let (dir, ephemeral) = match &opts.snapshot_dir {
@@ -243,21 +229,19 @@ pub fn analyze_sharded_multiprocess(
     };
     std::fs::create_dir_all(&dir)
         .map_err(|e| CliError(format!("create `{}`: {e}", dir.display())))?;
-    let result = coordinate(program, set, factory, opts, analysis_opts, cache, k, &dir);
+    let result = coordinate(program, set, factory, opts, analysis_opts, k, &dir);
     if ephemeral {
         let _ = std::fs::remove_dir_all(&dir);
     }
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn coordinate(
     program: &Program,
     set: &CheckerSet,
     factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
     opts: &Options,
     analysis_opts: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
     k: usize,
     dir: &Path,
 ) -> Result<ShardedRun, CliError> {
@@ -359,15 +343,7 @@ fn coordinate(
         bytes_read += container.bytes_read();
     }
     let merged = merge_outcomes(parts);
-    let mut run = replay_merged(
-        program,
-        set,
-        factory,
-        opts.threads,
-        analysis_opts,
-        cache,
-        &merged,
-    );
+    let mut run = replay_merged(program, set, factory, opts.threads, analysis_opts, &merged);
     run.stages.shards = k as u64;
     run.stages.summaries_exported = exported;
     run.stages.summaries_imported = imported;

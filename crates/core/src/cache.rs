@@ -132,6 +132,7 @@ impl CacheStats {
 ///
 /// All methods take `&self`; the cache is `Sync` and meant to be shared by
 /// reference (or `Arc`) across the solving threads of one or many runs.
+#[derive(Debug)]
 pub struct VerdictCache {
     shards: Vec<Mutex<HashMap<Key128, Feasibility>>>,
     hits: AtomicU64,

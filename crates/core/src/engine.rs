@@ -5,23 +5,24 @@
 //! `ir_based_smt_solve(Π)`. Engines implement the fused designs of this
 //! crate or the conventional baselines of `fusion-baselines`; the driver,
 //! reports and accounting are shared so comparisons are apples-to-apples.
+//!
+//! There is one driver, [`analyze`]. A [`Plan`] says, per `(checker,
+//! source)` work item, whether it runs, replays a recorded outcome, or is
+//! masked; [`Engines`] says how many engines decide the items that run.
 
 use crate::absint::ProgramFacts;
 use crate::cache::{path_set_key, CacheStats, Key128, VerdictCache};
-use crate::checkers::{CheckKind, Checker, CheckerId, CheckerSet};
+use crate::checkers::{CheckKind, CheckerId, CheckerSet};
 use crate::compact::CompactPdg;
-use crate::memory::{run_accounting, Category, MemoryAccountant, BYTES_PER_DEF};
-use crate::propagate::{
-    discover_all_multi_compact, discover_source_for_compact, multi_source_vertices, Candidate,
-    PropagateOptions,
-};
+use crate::incremental::SessionProvenance;
+use crate::memory::{run_accounting, MemoryAccountant, BYTES_PER_DEF};
+use crate::propagate::{discover_items, multi_source_vertices, Candidate, PropagateOptions};
 use crate::slice_cache::{SliceCache, SliceCacheStats};
-use crate::stream::{BoundedQueue, CloseGuard};
 use fusion_ir::ssa::Program;
 use fusion_pdg::graph::{Pdg, Vertex};
 use fusion_pdg::paths::DependencePath;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The verdict on one path set.
@@ -243,8 +244,7 @@ impl EngineStages {
 /// span of the discovery stage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageStats {
-    /// Wall-clock span of the discovery stage (sharded or not). In the
-    /// streaming pipeline this overlaps the solve stage.
+    /// Wall-clock span of the discovery stage (sharded or not).
     pub discover_wall: Duration,
     /// Total DFS steps taken by discovery.
     pub discovery_steps: u64,
@@ -368,8 +368,9 @@ pub struct BugReport {
 /// Aggregate results of one analysis run.
 #[derive(Debug, Clone)]
 pub struct AnalysisRun {
-    /// Engine name. Sequential runs use the engine's own name; parallel
-    /// runs keep it and suffix the thread count (e.g. `"fusion×4"`).
+    /// Engine name: the engine's own name for [`Engines::One`], suffixed
+    /// with the thread count for [`Engines::PerThread`] (e.g.
+    /// `"fusion×4"`).
     pub engine: String,
     /// Bug reports (feasible or undecided candidates).
     pub reports: Vec<BugReport>,
@@ -397,9 +398,7 @@ pub struct AnalysisRun {
 }
 
 impl AnalysisRun {
-    /// Total wall-clock time. In the streaming pipeline `solve_time` is
-    /// defined as `pipeline_wall − discovery span`, so this is the true
-    /// end-to-end wall for every driver.
+    /// Total wall-clock time: discovery then solving.
     pub fn total_time(&self) -> Duration {
         self.propagate_time + self.solve_time
     }
@@ -463,6 +462,9 @@ pub struct MultiAnalysisRun {
     /// Whole-run per-stage breakdown (checker-attributable counters are
     /// on the [`CheckerBreakdown`]s).
     pub stages: StageStats,
+    /// The refreshed outcome record of every unmasked work item, for a
+    /// later run's [`Plan::retained`].
+    pub outcomes: ItemOutcomes,
 }
 
 impl MultiAnalysisRun {
@@ -477,9 +479,9 @@ impl MultiAnalysisRun {
         self.checkers.iter().flat_map(|b| b.reports.iter())
     }
 
-    /// Flattens into a single-checker [`AnalysisRun`] — exact for the
-    /// singleton sets the `analyze*` wrappers use; for larger sets the
-    /// reports concatenate in checker order and `suppressed` sums.
+    /// Flattens into a single-checker [`AnalysisRun`] — exact for a
+    /// [`CheckerSet::single`] run; for larger sets the reports concatenate
+    /// in checker order and `suppressed` sums.
     pub fn into_single(self) -> AnalysisRun {
         let mut reports = Vec::new();
         let mut suppressed = 0usize;
@@ -503,28 +505,24 @@ impl MultiAnalysisRun {
     }
 }
 
-/// Configuration of [`analyze`], [`analyze_parallel`], and
-/// [`analyze_streaming`].
+/// Configuration of [`analyze`].
 #[derive(Debug, Clone)]
 pub struct AnalysisOptions {
     /// Propagation limits.
     pub propagate: PropagateOptions,
-    /// Whether the drivers memoize path verdicts in a [`VerdictCache`]
-    /// (on by default). [`analyze`]/[`analyze_parallel`] allocate a
-    /// run-local cache; use the `*_with_cache` variants to share one
-    /// cache across runs or checkers.
-    pub use_cache: bool,
+    /// Path-verdict memo shared by every worker of a run. `Some` by
+    /// default with a fresh cache; pass one `Arc` to several runs to share
+    /// verdicts across runs or checkers, or `None` to disable verdict
+    /// caching. [`MultiAnalysisRun::cache`] counts only the run's own
+    /// traffic even when the cache is shared.
+    pub cache: Option<Arc<VerdictCache>>,
     /// Shared slice-closure memo handed to engines that support it (the
     /// `FusionSolver`; baselines bypass it). `Some` by default with a
-    /// run-local cache; pass a shared `Arc` to memoize closures across
+    /// fresh cache; pass a shared `Arc` to memoize closures across
     /// runs, checkers, and engines, or `None` to disable memoization
     /// entirely (engines still reuse one closure across the alternative
     /// paths of a single candidate).
     pub slice_cache: Option<Arc<SliceCache>>,
-    /// Discovery shard count for the sharded drivers. `None` (default)
-    /// uses the driver's thread count; the sequential driver always
-    /// discovers on one shard.
-    pub discover_shards: Option<usize>,
     /// Abstract-interpretation triage (on by default): per-function
     /// Const/Affine/Interval/KnownBits facts refute candidate paths before
     /// any cache lookup, slice closure, or solver session, and seed the
@@ -547,9 +545,8 @@ impl Default for AnalysisOptions {
     fn default() -> Self {
         Self {
             propagate: PropagateOptions::default(),
-            use_cache: true,
+            cache: Some(Arc::new(VerdictCache::new())),
             slice_cache: Some(Arc::new(SliceCache::new())),
-            discover_shards: None,
             absint: true,
             compact: std::env::var_os("FUSION_NO_COMPACT").is_none(),
         }
@@ -566,7 +563,7 @@ impl AnalysisOptions {
     /// disabled — the fully conventional per-query configuration.
     pub fn without_cache() -> Self {
         Self {
-            use_cache: false,
+            cache: None,
             slice_cache: None,
             ..Self::default()
         }
@@ -581,10 +578,10 @@ impl AnalysisOptions {
 }
 
 /// The outcome for one candidate: either all paths were proven
-/// infeasible (suppressed) or a report was produced. `Clone` so a warm
-/// session run ([`analyze_multi_streaming_session`]) can replay recorded
-/// outcomes of unaffected work items without re-solving them.
-#[derive(Clone)]
+/// infeasible (suppressed) or a report was produced. `Clone` so a later
+/// run can replay the recorded outcomes of unaffected work items without
+/// re-solving them.
+#[derive(Debug, Clone)]
 pub(crate) enum CandVerdict {
     Suppressed,
     Report(BugReport),
@@ -627,7 +624,7 @@ impl CandTally {
 }
 
 /// `(total queries issued, total triaged paths)` across a tally set —
-/// the group-boundary snapshot the drivers use to count sink groups whose
+/// the group-boundary snapshot a worker uses to count sink groups whose
 /// incremental session was never opened because triage refuted paths.
 fn tally_totals(tallies: &[CandTally]) -> (usize, u64) {
     (
@@ -636,11 +633,11 @@ fn tally_totals(tallies: &[CandTally]) -> (usize, u64) {
     )
 }
 
-/// Debug-build contract check at every fused-driver entry: the sparse
-/// analyses, the PDG construction and the abstract interpreter all assume
-/// the IR invariants of [`fusion_ir::validate::check_program`] (acyclic
-/// gated SSA, consistent call-site table, unrolled call graph). Release
-/// builds skip the walk; the CLI exposes the same check as `--validate`.
+/// Debug-build contract check at the driver entry: the sparse analyses,
+/// the PDG construction and the abstract interpreter all assume the IR
+/// invariants of [`fusion_ir::validate::check_program`] (acyclic gated
+/// SSA, consistent call-site table, unrolled call graph). Release builds
+/// skip the walk; the CLI exposes the same check as `--validate`.
 fn debug_validate(program: &Program) {
     #[cfg(debug_assertions)]
     {
@@ -656,27 +653,6 @@ fn debug_validate(program: &Program) {
     let _ = program;
 }
 
-/// Copies the summed triage counters of a run's tallies into its
-/// [`StageStats`].
-fn fill_triage_stats(stages: &mut StageStats, tallies: &[CandTally], sessions_skipped: u64) {
-    stages.triaged_paths = tallies.iter().map(|t| t.triaged_paths).sum();
-    stages.triaged_candidates = tallies.iter().map(|t| t.triaged_candidates).sum();
-    stages.slices_skipped = tallies.iter().map(|t| t.slices_skipped).sum();
-    stages.sessions_skipped = sessions_skipped;
-    stages.iso_hits = tallies.iter().map(|t| t.iso_hits).sum();
-}
-
-/// Copies a compacted view's pruning counters into a run's
-/// [`StageStats`] (no-op when compaction was off).
-fn fill_compact_stats(stages: &mut StageStats, compact: Option<&CompactPdg>) {
-    if let Some(c) = compact {
-        let cs = c.stats();
-        stages.vertices_pruned = cs.vertices_pruned;
-        stages.edges_pruned = cs.edges_pruned;
-        stages.chains_collapsed = cs.chains_collapsed;
-    }
-}
-
 /// Groups candidate indices by **sink function only** — the slice-group
 /// batching unit. Candidates against the same sink share most of their
 /// slices, so solving them back-to-back maximizes what an incremental
@@ -687,8 +663,8 @@ fn fill_compact_stats(stages: &mut StageStats, compact: Option<&CompactPdg>) {
 /// therefore share one solver session, one slice closure, and one warm
 /// translation cache — the whole point of fusing the clients. Groups
 /// appear in first-occurrence order and indices stay ascending within a
-/// group, so a driver that walks the groups and sorts results by index
-/// reproduces the ungrouped candidate order exactly.
+/// group, so walking the groups and sorting results by index reproduces
+/// the ungrouped candidate order exactly.
 fn group_by_sink(candidates: &[Candidate]) -> Vec<(u64, Vec<usize>)> {
     let mut order: Vec<(u64, Vec<usize>)> = Vec::new();
     let mut slot: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
@@ -705,152 +681,213 @@ fn group_by_sink(candidates: &[Candidate]) -> Vec<(u64, Vec<usize>)> {
     order
 }
 
-/// Decides one candidate: query each alternative path until one is
-/// feasible. With a cache, each path's verdict is looked up by canonical
-/// key first and engine misses are stored back (Unknown is never stored).
-/// `tally.queries` counts only queries actually issued to the engine;
-/// hits/misses/solve-wall accumulate alongside so fused drivers can
-/// attribute solve effort per checker.
-///
-/// When abstract facts are supplied, each path is first checked against
-/// them ([`ProgramFacts::path_refuted`]): a refuted path is infeasible in
-/// every execution, so it is skipped with zero cache or engine work, and a
-/// candidate whose *every* path is refuted short-circuits to suppression
-/// before [`FeasibilityEngine::begin_candidate`] — no session is touched
-/// and no slice closure is ever computed for it. Triage may only refute,
-/// never claim feasibility, so reports are byte-identical either way.
-///
-/// With a compacted view, a path whose exact key misses is additionally
-/// looked up in the isomorphic-fragment memo ([`CompactPdg::iso_key`])
-/// before the engine is queried: a hit replays the definite verdict of a
-/// structurally identical path already decided (renaming of functions
-/// and call sites cannot change satisfiability — no identity reaches the
-/// solver), so the query is skipped entirely. Unknown verdicts are never
-/// memoized, so budget-dependent outcomes never leak between fragments.
-///
-/// When a session provenance is supplied (warm analysis service), every
-/// verdict-cache and iso-memo *insert* also records the inserted key's
-/// on-path function span — the `path_set_key → functions` index the
-/// dirtiness tracker later uses to evict exactly the entries an edit can
-/// reach. The record holds function ids and content hashes only, never a
-/// condition (§3.2.2).
-#[allow(clippy::too_many_arguments)] // one call per driver; a params struct would only obscure
-fn solve_candidate(
-    program: &Program,
-    pdg: &Pdg,
-    engine: &mut dyn FeasibilityEngine,
-    cache: Option<&VerdictCache>,
-    facts: Option<&ProgramFacts>,
-    compact: Option<&CompactPdg>,
-    prov: Option<&crate::incremental::SessionProvenance>,
-    kind: CheckKind,
-    cand: &Candidate,
-    tally: &mut CandTally,
-) -> CandVerdict {
-    // Abstract-interpretation triage: refute paths against per-function
-    // facts before any cache lookup or solver work.
-    let triaged: Vec<bool> = match facts {
-        Some(f) => cand
-            .paths
-            .iter()
-            .map(|p| f.path_refuted(program, p, kind))
-            .collect(),
-        None => vec![false; cand.paths.len()],
-    };
-    let refuted = triaged.iter().filter(|&&t| t).count();
-    tally.triaged_paths += refuted as u64;
-    if refuted == cand.paths.len() {
-        tally.triaged_candidates += 1;
-        tally.slices_skipped += 1;
-        return CandVerdict::Suppressed;
-    }
-    // Announce the candidate so the engine can compute the backward
-    // closure once for the union of the alternative paths (lazily — a
-    // candidate fully answered by the verdict cache never slices). The
-    // full path set is announced even when some paths were triaged: the
-    // union closure of a superset is sound for every subset, and keeping
-    // the canonical key independent of triage keeps the slice memo shared
-    // between triaged and untriaged runs.
-    let cand_key = path_set_key(program, &cand.paths);
-    engine.begin_candidate(program, pdg, cand_key, &cand.paths);
-    let mut verdict = Feasibility::Infeasible;
-    let mut witness: Option<&DependencePath> = None;
-    for (path, &is_triaged) in cand.paths.iter().zip(&triaged) {
-        if is_triaged {
-            continue;
-        }
-        let slice = std::slice::from_ref(path);
-        let feasibility = match cache {
-            Some(c) => {
-                let key = VerdictCache::key(program, slice);
-                match c.get(key) {
-                    Some(v) => {
-                        tally.cache_hits += 1;
-                        v
-                    }
-                    None => {
-                        tally.cache_misses += 1;
-                        let v = query_with_iso(program, pdg, engine, compact, prov, slice, tally);
-                        c.insert(key, v);
-                        if let Some(p) = prov {
-                            p.verdicts.record(key, slice);
-                        }
-                        v
-                    }
-                }
-            }
-            None => query_with_iso(program, pdg, engine, compact, prov, slice, tally),
-        };
-        match feasibility {
-            Feasibility::Feasible => {
-                verdict = Feasibility::Feasible;
-                witness = Some(path);
-                break;
-            }
-            Feasibility::Unknown => {
-                verdict = Feasibility::Unknown;
-                witness.get_or_insert(path);
-            }
-            Feasibility::Infeasible => {}
-        }
-    }
-    match verdict {
-        Feasibility::Infeasible => CandVerdict::Suppressed,
-        v => CandVerdict::Report(BugReport {
-            source: cand.source,
-            sink: cand.sink,
-            verdict: v,
-            path: witness.expect("non-infeasible verdict has a path").clone(),
-        }),
-    }
+/// What one worker hands back after draining the group cursor.
+struct WorkerOut {
+    /// The engine's name (the same for every worker of a run).
+    name: &'static str,
+    /// `(candidate index, outcome)` pairs, in steal order.
+    results: Vec<(usize, CandVerdict)>,
+    /// Per-checker tallies (indexed by `CheckerId.0`).
+    tallies: Vec<CandTally>,
+    memory: MemoryAccountant,
+    /// The engine's stage totals accrued during this run.
+    stages: EngineStages,
+    /// Sink groups this worker never issued a query for because triage
+    /// refuted paths in them.
+    sessions_skipped: u64,
 }
 
-/// Decides one path's feasibility, consulting the compacted view's
-/// isomorphic-fragment memo before the engine (see [`solve_candidate`]).
-fn query_with_iso(
-    program: &Program,
-    pdg: &Pdg,
-    engine: &mut dyn FeasibilityEngine,
-    compact: Option<&CompactPdg>,
-    prov: Option<&crate::incremental::SessionProvenance>,
-    slice: &[DependencePath],
-    tally: &mut CandTally,
-) -> Feasibility {
-    let iso = compact.map(|cp| (cp.iso(), cp.iso_key(slice)));
-    if let Some(v) = iso.as_ref().and_then(|(memo, key)| memo.get(*key)) {
-        tally.iso_hits += 1;
-        return v;
+/// The shared, read-only state of a run's solve stage, plus the
+/// work-stealing cursor over its sink groups.
+struct Solve<'a> {
+    program: &'a Program,
+    pdg: &'a Pdg,
+    set: &'a CheckerSet,
+    cache: Option<&'a VerdictCache>,
+    facts: Option<&'a Arc<ProgramFacts>>,
+    compact: Option<&'a CompactPdg>,
+    prov: Option<&'a SessionProvenance>,
+    slice_cache: Option<&'a Arc<SliceCache>>,
+    candidates: &'a [Candidate],
+    groups: &'a [(u64, Vec<usize>)],
+    cursor: AtomicUsize,
+}
+
+impl Solve<'_> {
+    /// One worker: grabs whole sink groups off the cursor until none are
+    /// left. Group granularity keeps related queries on one engine (the
+    /// point of the batching) while `fetch_add` keeps the grab wait-free
+    /// and the tail balanced.
+    fn work(&self, engine: &mut dyn FeasibilityEngine) -> WorkerOut {
+        if let Some(sc) = self.slice_cache {
+            engine.attach_slice_cache(Arc::clone(sc));
+        }
+        if let Some(f) = self.facts {
+            engine.attach_absint(Arc::clone(f));
+        }
+        let before = engine.stage_totals();
+        let mut out = WorkerOut {
+            name: engine.name(),
+            results: Vec::new(),
+            tallies: vec![CandTally::default(); self.set.len()],
+            memory: MemoryAccountant::new(),
+            stages: EngineStages::default(),
+            sessions_skipped: 0,
+        };
+        while let Some((key, idxs)) = self.groups.get(self.cursor.fetch_add(1, Ordering::Relaxed)) {
+            engine.begin_group(*key);
+            let (q_before, tr_before) = tally_totals(&out.tallies);
+            for &idx in idxs {
+                let cand = &self.candidates[idx];
+                let v = self.decide(engine, cand, &mut out.tallies[cand.checker.0]);
+                out.results.push((idx, v));
+            }
+            let (q_after, tr_after) = tally_totals(&out.tallies);
+            if q_after == q_before && tr_after > tr_before {
+                out.sessions_skipped += 1;
+            }
+        }
+        out.memory = engine.memory().clone();
+        out.stages = engine.stage_totals().since(&before);
+        out
     }
-    tally.queries += 1;
-    let o = engine.check_paths(program, pdg, slice);
-    tally.solve_wall += o.duration;
-    if let Some((memo, key)) = iso {
-        memo.insert(key, o.feasibility);
-        if let Some(p) = prov {
-            p.iso.record(key, slice);
+
+    /// Decides one candidate: query each alternative path until one is
+    /// feasible. With a cache, each path's verdict is looked up by
+    /// canonical key first and engine misses are stored back (Unknown is
+    /// never stored). `tally.queries` counts only queries actually issued
+    /// to the engine; hits/misses/solve-wall accumulate alongside so the
+    /// fused run can attribute solve effort per checker.
+    ///
+    /// With abstract facts, each path is first checked against them
+    /// ([`ProgramFacts::path_refuted`]): a refuted path is infeasible in
+    /// every execution, so it is skipped with zero cache or engine work,
+    /// and a candidate whose *every* path is refuted short-circuits to
+    /// suppression before [`FeasibilityEngine::begin_candidate`] — no
+    /// session is touched and no slice closure is ever computed for it.
+    /// Triage may only refute, never claim feasibility, so reports are
+    /// byte-identical either way.
+    ///
+    /// With a provenance recorder (warm analysis service), every
+    /// verdict-cache and iso-memo *insert* also records the inserted key's
+    /// on-path function span — the `path_set_key → functions` index the
+    /// dirtiness tracker later uses to evict exactly the entries an edit
+    /// can reach. The record holds function ids and content hashes only,
+    /// never a condition (§3.2.2).
+    fn decide(
+        &self,
+        engine: &mut dyn FeasibilityEngine,
+        cand: &Candidate,
+        tally: &mut CandTally,
+    ) -> CandVerdict {
+        let program = self.program;
+        let kind = self.set.get(cand.checker).kind;
+        let triaged: Vec<bool> = match self.facts {
+            Some(f) => cand
+                .paths
+                .iter()
+                .map(|p| f.path_refuted(program, p, kind))
+                .collect(),
+            None => vec![false; cand.paths.len()],
+        };
+        let refuted = triaged.iter().filter(|&&t| t).count();
+        tally.triaged_paths += refuted as u64;
+        if refuted == cand.paths.len() {
+            tally.triaged_candidates += 1;
+            tally.slices_skipped += 1;
+            return CandVerdict::Suppressed;
+        }
+        // Announce the candidate so the engine can compute the backward
+        // closure once for the union of the alternative paths (lazily — a
+        // candidate fully answered by the verdict cache never slices). The
+        // full path set is announced even when some paths were triaged:
+        // the union closure of a superset is sound for every subset, and
+        // keeping the canonical key independent of triage keeps the slice
+        // memo shared between triaged and untriaged runs.
+        let cand_key = path_set_key(program, &cand.paths);
+        engine.begin_candidate(program, self.pdg, cand_key, &cand.paths);
+        let mut verdict = Feasibility::Infeasible;
+        let mut witness: Option<&DependencePath> = None;
+        for (path, &is_triaged) in cand.paths.iter().zip(&triaged) {
+            if is_triaged {
+                continue;
+            }
+            let slice = std::slice::from_ref(path);
+            let feasibility = match self.cache {
+                Some(c) => {
+                    let key = VerdictCache::key(program, slice);
+                    match c.get(key) {
+                        Some(v) => {
+                            tally.cache_hits += 1;
+                            v
+                        }
+                        None => {
+                            tally.cache_misses += 1;
+                            let v = self.query(engine, slice, tally);
+                            c.insert(key, v);
+                            if let Some(p) = self.prov {
+                                p.verdicts.record(key, slice);
+                            }
+                            v
+                        }
+                    }
+                }
+                None => self.query(engine, slice, tally),
+            };
+            match feasibility {
+                Feasibility::Feasible => {
+                    verdict = Feasibility::Feasible;
+                    witness = Some(path);
+                    break;
+                }
+                Feasibility::Unknown => {
+                    verdict = Feasibility::Unknown;
+                    witness.get_or_insert(path);
+                }
+                Feasibility::Infeasible => {}
+            }
+        }
+        match verdict {
+            Feasibility::Infeasible => CandVerdict::Suppressed,
+            v => CandVerdict::Report(BugReport {
+                source: cand.source,
+                sink: cand.sink,
+                verdict: v,
+                path: witness.expect("non-infeasible verdict has a path").clone(),
+            }),
         }
     }
-    o.feasibility
+
+    /// Decides one path's feasibility. With a compacted view, a path whose
+    /// exact key missed is first looked up in the isomorphic-fragment memo
+    /// ([`CompactPdg::iso_key`]): a hit replays the definite verdict of a
+    /// structurally identical path already decided (renaming functions
+    /// and call sites cannot change satisfiability — no identity reaches
+    /// the solver), so the query is skipped entirely. Unknown verdicts are
+    /// never memoized, so budget-dependent outcomes never leak between
+    /// fragments.
+    fn query(
+        &self,
+        engine: &mut dyn FeasibilityEngine,
+        slice: &[DependencePath],
+        tally: &mut CandTally,
+    ) -> Feasibility {
+        let iso = self.compact.map(|cp| (cp.iso(), cp.iso_key(slice)));
+        if let Some(v) = iso.as_ref().and_then(|(memo, key)| memo.get(*key)) {
+            tally.iso_hits += 1;
+            return v;
+        }
+        tally.queries += 1;
+        let o = engine.check_paths(self.program, self.pdg, slice);
+        tally.solve_wall += o.duration;
+        if let Some((memo, key)) = iso {
+            memo.insert(key, o.feasibility);
+            if let Some(p) = self.prov {
+                p.iso.record(key, slice);
+            }
+        }
+        o.feasibility
+    }
 }
 
 /// Splits the canonical `(checker, verdict)` sequence of a fused run
@@ -873,7 +910,7 @@ fn assemble_breakdowns(
             queries: tallies[id.0].queries,
             cache_hits: tallies[id.0].cache_hits,
             cache_misses: tallies[id.0].cache_misses,
-            discovery_steps: per_checker_steps.get(id.0).copied().unwrap_or(0),
+            discovery_steps: per_checker_steps[id.0],
             solve_wall: tallies[id.0].solve_wall,
         })
         .collect();
@@ -888,861 +925,21 @@ fn assemble_breakdowns(
     out
 }
 
-/// Runs one checker over a program with the given feasibility engine.
-///
-/// A candidate is reported when *any* of its alternative paths is feasible;
-/// it is suppressed only when every path is proven infeasible; undecided
-/// candidates are reported conservatively (matching how bug detectors treat
-/// solver timeouts).
-pub fn analyze(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    engine: &mut dyn FeasibilityEngine,
-    options: &AnalysisOptions,
-) -> AnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_with_cache(program, pdg, checker, engine, options, cache)
-}
-
-/// [`analyze`] with an explicit, possibly shared, verdict cache (`None`
-/// disables caching regardless of [`AnalysisOptions::use_cache`]). The
-/// returned [`AnalysisRun::cache`] counters are scoped to this run even
-/// when the cache is shared.
-///
-/// A thin wrapper over the fused path ([`analyze_multi_with_cache`])
-/// with a singleton [`CheckerSet`].
-pub fn analyze_with_cache(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    engine: &mut dyn FeasibilityEngine,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-) -> AnalysisRun {
-    let set = CheckerSet::single(checker.clone());
-    analyze_multi_with_cache(program, pdg, &set, engine, options, cache).into_single()
-}
-
-/// Runs a whole [`CheckerSet`] over a program in **one fused pass** with
-/// one engine (sequential). Allocates a run-local verdict cache per
-/// [`AnalysisOptions::use_cache`]; use [`analyze_multi_with_cache`] to
-/// share one.
-pub fn analyze_multi(
-    program: &Program,
-    pdg: &Pdg,
-    set: &CheckerSet,
-    engine: &mut dyn FeasibilityEngine,
-    options: &AnalysisOptions,
-) -> MultiAnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_multi_with_cache(program, pdg, set, engine, options, cache)
-}
-
-/// The fused sequential driver: one discovery traversal over every
-/// `(checker, source)` work item, one pass of sink groups over the
-/// engine. Sink groups are keyed on the sink function only, so
-/// candidates from different checkers landing on the same sink share the
-/// engine's group-scoped state (sessions, instance memos) and the slice
-/// memo — instead of each checker paying its own cold pass.
-pub fn analyze_multi_with_cache(
-    program: &Program,
-    pdg: &Pdg,
-    set: &CheckerSet,
-    engine: &mut dyn FeasibilityEngine,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-) -> MultiAnalysisRun {
-    debug_validate(program);
-    if let Some(sc) = &options.slice_cache {
-        engine.attach_slice_cache(Arc::clone(sc));
-    }
-    // Abstract facts, computed once per run (memoized per function inside)
-    // and shared by driver-side triage and engine-side seeding.
-    let facts = options
-        .absint
-        .then(|| Arc::new(ProgramFacts::compute(program)));
-    if let Some(f) = &facts {
-        engine.attach_absint(Arc::clone(f));
-    }
-    let slice_before = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats())
-        .unwrap_or_default();
-    let stages_before = engine.stage_totals();
-    let t0 = Instant::now();
-    // The compaction pass runs inside the discovery span: its build cost
-    // is part of what the discover wall attributes.
-    let compact = options
-        .compact
-        .then(|| CompactPdg::build(program, pdg, set, &options.propagate));
-    let discovery =
-        discover_all_multi_compact(program, pdg, set, &options.propagate, 1, compact.as_ref());
-    let candidates = discovery.candidates;
-    let propagate_time = t0.elapsed();
-    let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
-
-    // Slice-group batching: candidates sharing a sink function — from
-    // *any* checker — are solved back-to-back, so an incremental engine
-    // sees maximally related queries in a row. Results are re-sorted by
-    // candidate index, so grouping never changes the report order.
-    let mut tallies = vec![CandTally::default(); set.len()];
-    let groups = group_by_sink(&candidates);
-    let t1 = Instant::now();
-    let mut results: Vec<(usize, CandVerdict)> = Vec::with_capacity(candidates.len());
-    let mut sessions_skipped = 0u64;
-    for (key, idxs) in &groups {
-        engine.begin_group(*key);
-        let (q_before, tr_before) = tally_totals(&tallies);
-        for &idx in idxs {
-            let cand = &candidates[idx];
-            let v = solve_candidate(
-                program,
-                pdg,
-                engine,
-                cache,
-                facts.as_deref(),
-                compact.as_ref(),
-                None,
-                set.get(cand.checker).kind,
-                cand,
-                &mut tallies[cand.checker.0],
-            );
-            results.push((idx, v));
-        }
-        let (q_after, tr_after) = tally_totals(&tallies);
-        if q_after == q_before && tr_after > tr_before {
-            sessions_skipped += 1;
-        }
-    }
-    results.sort_by_key(|(idx, _)| *idx);
-    let solve_time = t1.elapsed();
-
-    // The graph (and the caches, if any) is retained for the whole run,
-    // for every engine: one accounting path shared with the parallel
-    // drivers. Discovery's transient visited-set bytes ride along as a
-    // concurrent accountant, exactly as in the sharded drivers. Because
-    // the whole checker set runs in one pass, this is the true
-    // whole-scan peak — not a max over per-checker passes.
-    let graph_bytes = program.size() as u64 * BYTES_PER_DEF;
-    let cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0)
-        + options.slice_cache.as_ref().map(|c| c.bytes()).unwrap_or(0);
-    let mem = run_accounting(
-        std::iter::once(engine.memory()).chain(discovery.memory.iter()),
-        graph_bytes,
-        cache_bytes,
-    );
-    let cache_stats = cache
-        .map(|c| c.stats().since(&cache_before))
-        .unwrap_or_default();
-    let slice_stats = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats().since(&slice_before))
-        .unwrap_or_default();
-    let mut stages = StageStats {
-        discover_wall: propagate_time,
-        discovery_steps: discovery.steps,
-        discovery_shards: discovery.shards,
-        ..StageStats::default()
-    };
-    stages.add_engine(&engine.stage_totals().since(&stages_before));
-    fill_triage_stats(&mut stages, &tallies, sessions_skipped);
-    fill_compact_stats(&mut stages, compact.as_ref());
-
-    let ordered: Vec<(CheckerId, CandVerdict)> = results
-        .into_iter()
-        .map(|(idx, v)| (candidates[idx].checker, v))
-        .collect();
-    let queries = tallies.iter().map(|t| t.queries).sum();
-    let checkers = assemble_breakdowns(set, ordered, &tallies, &discovery.per_checker_steps);
-
-    MultiAnalysisRun {
-        engine: engine.name().to_string(),
-        checkers,
-        candidates: candidates.len(),
-        queries,
-        propagate_time,
-        solve_time,
-        peak_memory: mem.peak_total(),
-        cache: cache_stats,
-        slice: slice_stats,
-        stages,
-    }
-}
-
-/// Runs one checker with per-thread engines, fanning candidates out over
-/// `threads` worker threads (the paper's evaluation used fifteen). Each
-/// worker owns an engine built by `factory`, so no locking is needed on
-/// solver state.
-///
-/// Work distribution is a **work-stealing queue over slice groups**:
-/// candidates are batched by sink function ([`FeasibilityEngine::begin_group`])
-/// and an atomic cursor hands whole groups to workers, so a worker stuck
-/// behind one slow candidate no longer idles the rest of its stride while
-/// related queries still land on the same engine back-to-back (which is
-/// what makes incremental sessions pay off). Workers share one
-/// [`VerdictCache`] (unless disabled via [`AnalysisOptions::use_cache`]),
-/// and results are merged back in candidate order, so the report list is
-/// byte-identical to the sequential driver's regardless of thread count
-/// or steal order.
-pub fn analyze_parallel(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-) -> AnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_parallel_with_cache(program, pdg, checker, factory, threads, options, cache)
-}
-
-/// [`analyze_parallel`] with an explicit, possibly shared, verdict cache
-/// (`None` disables caching regardless of [`AnalysisOptions::use_cache`]).
-///
-/// A thin wrapper over the fused path
-/// ([`analyze_multi_parallel_with_cache`]) with a singleton
-/// [`CheckerSet`].
-pub fn analyze_parallel_with_cache(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-) -> AnalysisRun {
-    let set = CheckerSet::single(checker.clone());
-    analyze_multi_parallel_with_cache(program, pdg, &set, factory, threads, options, cache)
-        .into_single()
-}
-
-/// Runs a whole [`CheckerSet`] in one fused barrier-parallel pass.
-/// Allocates a run-local verdict cache per
-/// [`AnalysisOptions::use_cache`]; use
-/// [`analyze_multi_parallel_with_cache`] to share one.
-pub fn analyze_multi_parallel(
-    program: &Program,
-    pdg: &Pdg,
-    set: &CheckerSet,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-) -> MultiAnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_multi_parallel_with_cache(program, pdg, set, factory, threads, options, cache)
-}
-
-/// The fused barrier-parallel driver: one sharded discovery over every
-/// `(checker, source)` work item, then work-stealing over sink groups
-/// that mix candidates from all checkers (the group key is the sink
-/// function only). Workers share one [`VerdictCache`] and one
-/// [`SliceCache`] across the whole set; results merge back in canonical
-/// candidate order, so per-checker reports are byte-identical to the
-/// sequential fused driver's — and to per-checker single runs —
-/// regardless of thread count or steal order.
-pub fn analyze_multi_parallel_with_cache(
-    program: &Program,
-    pdg: &Pdg,
-    set: &CheckerSet,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-) -> MultiAnalysisRun {
-    debug_validate(program);
-    let threads = threads.max(1);
-    let facts = options
-        .absint
-        .then(|| Arc::new(ProgramFacts::compute(program)));
-    let slice_before = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats())
-        .unwrap_or_default();
-    let t0 = Instant::now();
-    // Sharded discovery: the barrier driver still waits for the full
-    // candidate list (use `analyze_multi_streaming_with_cache` to
-    // overlap), but the discovery itself fans out across the same thread
-    // count, merged deterministically by work-item index.
-    let shards = options.discover_shards.unwrap_or(threads);
-    let compact = options
-        .compact
-        .then(|| CompactPdg::build(program, pdg, set, &options.propagate));
-    let discovery = discover_all_multi_compact(
-        program,
-        pdg,
-        set,
-        &options.propagate,
-        shards,
-        compact.as_ref(),
-    );
-    let candidates = discovery.candidates;
-    let propagate_time = t0.elapsed();
-    let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
-
-    struct WorkerOut {
-        /// The factory-built engine's name (same for every worker).
-        name: &'static str,
-        /// `(candidate index, outcome)` pairs, in steal order.
-        results: Vec<(usize, CandVerdict)>,
-        /// Per-checker tallies (indexed by `CheckerId.0`).
-        tallies: Vec<CandTally>,
-        memory: MemoryAccountant,
-        stages: EngineStages,
-        /// Sink groups this worker never issued a query for because triage
-        /// refuted paths in them.
-        sessions_skipped: u64,
-    }
-
-    // Work-stealing cursor over slice groups: workers atomically grab one
-    // group at a time. Group granularity keeps related queries on one
-    // engine (the point of the batching) while `fetch_add` keeps the grab
-    // wait-free and the tail balanced.
-    let groups = group_by_sink(&candidates);
-    let cursor = AtomicUsize::new(0);
-
-    let t1 = Instant::now();
-    let outputs: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let cands = &candidates;
-            let groups = &groups;
-            let cursor = &cursor;
-            let slice_cache = options.slice_cache.clone();
-            let facts = facts.clone();
-            let compact = compact.as_ref();
-            handles.push(scope.spawn(move || {
-                let mut engine = factory();
-                if let Some(sc) = slice_cache {
-                    engine.attach_slice_cache(sc);
-                }
-                if let Some(f) = &facts {
-                    engine.attach_absint(Arc::clone(f));
-                }
-                let mut out = WorkerOut {
-                    name: engine.name(),
-                    results: Vec::new(),
-                    tallies: vec![CandTally::default(); set.len()],
-                    memory: MemoryAccountant::new(),
-                    stages: EngineStages::default(),
-                    sessions_skipped: 0,
-                };
-                loop {
-                    let g = cursor.fetch_add(1, Ordering::Relaxed);
-                    if g >= groups.len() {
-                        break;
-                    }
-                    let (key, idxs) = &groups[g];
-                    engine.begin_group(*key);
-                    let (q_before, tr_before) = tally_totals(&out.tallies);
-                    for &idx in idxs {
-                        let cand = &cands[idx];
-                        let v = solve_candidate(
-                            program,
-                            pdg,
-                            engine.as_mut(),
-                            cache,
-                            facts.as_deref(),
-                            compact,
-                            None,
-                            set.get(cand.checker).kind,
-                            cand,
-                            &mut out.tallies[cand.checker.0],
-                        );
-                        out.results.push((idx, v));
-                    }
-                    let (q_after, tr_after) = tally_totals(&out.tallies);
-                    if q_after == q_before && tr_after > tr_before {
-                        out.sessions_skipped += 1;
-                    }
-                }
-                out.memory = engine.memory().clone();
-                out.stages = engine.stage_totals();
-                out
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread"))
-            .collect()
-    });
-    let solve_time = t1.elapsed();
-
-    // Merge in candidate order: the exact order the sequential driver
-    // would have produced, independent of which worker stole what.
-    let mut merged: Vec<(usize, CandVerdict)> = Vec::with_capacity(candidates.len());
-    let mut tallies = vec![CandTally::default(); set.len()];
-    let engine_name = outputs.first().map(|o| o.name).unwrap_or("parallel");
-    let mut memories: Vec<MemoryAccountant> = Vec::with_capacity(outputs.len());
-    let mut stages = StageStats {
-        discover_wall: propagate_time,
-        discovery_steps: discovery.steps,
-        discovery_shards: discovery.shards,
-        ..StageStats::default()
-    };
-    let mut sessions_skipped = 0u64;
-    for o in outputs {
-        for (t, wt) in tallies.iter_mut().zip(&o.tallies) {
-            t.add(wt);
-        }
-        memories.push(o.memory);
-        stages.add_engine(&o.stages);
-        sessions_skipped += o.sessions_skipped;
-        merged.extend(o.results);
-    }
-    merged.sort_by_key(|(idx, _)| *idx);
-    fill_triage_stats(&mut stages, &tallies, sessions_skipped);
-    fill_compact_stats(&mut stages, compact.as_ref());
-
-    let graph_bytes = program.size() as u64 * BYTES_PER_DEF;
-    let cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0)
-        + options.slice_cache.as_ref().map(|c| c.bytes()).unwrap_or(0);
-    let mem = run_accounting(
-        memories.iter().chain(discovery.memory.iter()),
-        graph_bytes,
-        cache_bytes,
-    );
-    let cache_stats = cache
-        .map(|c| c.stats().since(&cache_before))
-        .unwrap_or_default();
-    let slice_stats = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats().since(&slice_before))
-        .unwrap_or_default();
-
-    let ordered: Vec<(CheckerId, CandVerdict)> = merged
-        .into_iter()
-        .map(|(idx, v)| (candidates[idx].checker, v))
-        .collect();
-    let queries = tallies.iter().map(|t| t.queries).sum();
-    let checkers = assemble_breakdowns(set, ordered, &tallies, &discovery.per_checker_steps);
-
-    MultiAnalysisRun {
-        engine: format!("{engine_name}×{threads}"),
-        checkers,
-        candidates: candidates.len(),
-        queries,
-        propagate_time,
-        solve_time,
-        peak_memory: mem.peak_total(),
-        cache: cache_stats,
-        slice: slice_stats,
-        stages,
-    }
-}
-
-/// Runs one checker through the **streaming discovery→solve pipeline**:
-/// discovery shards push completed sink groups through a bounded channel
-/// into group-stealing solve workers, so solving overlaps discovery
-/// wall-time instead of waiting behind the barrier of
-/// [`analyze_parallel`]. Reports are merged by `(source, candidate)`
-/// index and are **byte-identical** to the sequential driver's at any
-/// thread count. Allocates a run-local verdict cache per
-/// [`AnalysisOptions::use_cache`]; use
-/// [`analyze_streaming_with_cache`] to share one.
-pub fn analyze_streaming(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-) -> AnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_streaming_with_cache(program, pdg, checker, factory, threads, options, cache)
-}
-
-/// [`analyze_streaming`] with an explicit, possibly shared, verdict
-/// cache (`None` disables caching regardless of
-/// [`AnalysisOptions::use_cache`]).
-///
-/// Timing semantics: `propagate_time` is the wall-clock span until the
-/// last discovery shard finished; `solve_time` is the *rest* of the
-/// pipeline wall, so [`AnalysisRun::total_time`] equals the true
-/// end-to-end wall (overlap is visible as `propagate_time +
-/// solve_time < barrier driver's sum`).
-///
-/// With one thread there is nothing to overlap: the call delegates to
-/// the sequential driver (same discovery, same accounting), so
-/// 1-thread streaming peaks equal the sequential driver's exactly.
-pub fn analyze_streaming_with_cache(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-) -> AnalysisRun {
-    let set = CheckerSet::single(checker.clone());
-    analyze_multi_streaming_with_cache(program, pdg, &set, factory, threads, options, cache)
-        .into_single()
-}
-
-/// Runs a whole [`CheckerSet`] through one fused streaming pipeline.
-/// Allocates a run-local verdict cache per
-/// [`AnalysisOptions::use_cache`]; use
-/// [`analyze_multi_streaming_with_cache`] to share one.
-pub fn analyze_multi_streaming(
-    program: &Program,
-    pdg: &Pdg,
-    set: &CheckerSet,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-) -> MultiAnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_multi_streaming_with_cache(program, pdg, set, factory, threads, options, cache)
-}
-
-/// The fused streaming driver: producers steal `(checker, source)` work
-/// items and stream completed sink groups — keyed and **routed by the
-/// sink function only** — into sticky solve workers. A sink function
-/// targeted by several checkers therefore lands on one worker, whose
-/// engine keeps one warm session and one warm instance memo across all
-/// clients of that sink. Reports merge by `(work-item, candidate)` index
-/// and are byte-identical to the fused sequential driver's at any thread
-/// count.
-pub fn analyze_multi_streaming_with_cache(
-    program: &Program,
-    pdg: &Pdg,
-    set: &CheckerSet,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-) -> MultiAnalysisRun {
-    debug_validate(program);
-    let threads = threads.max(1);
-    if threads == 1 {
-        let mut engine = factory();
-        let mut run = analyze_multi_with_cache(program, pdg, set, engine.as_mut(), options, cache);
-        run.engine = format!("{}×1", run.engine);
-        return run;
-    }
-
-    /// One unit of streamed work: the candidates of one (work item, sink
-    /// function) group, tagged for the deterministic merge.
-    struct StreamGroup {
-        item_idx: usize,
-        sink_key: u64,
-        /// `(candidate index within the work item, candidate)`.
-        cands: Vec<(usize, Candidate)>,
-    }
-
-    struct WorkerOut {
-        name: &'static str,
-        /// `((work-item index, local candidate index), outcome)` pairs.
-        results: Vec<((usize, usize), CandVerdict)>,
-        /// Per-checker tallies (indexed by `CheckerId.0`).
-        tallies: Vec<CandTally>,
-        memory: MemoryAccountant,
-        stages: EngineStages,
-        /// Streamed groups this worker never issued a query for because
-        /// triage refuted paths in them.
-        sessions_skipped: u64,
-    }
-
-    let facts = options
-        .absint
-        .then(|| Arc::new(ProgramFacts::compute(program)));
-    let slice_before = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats())
-        .unwrap_or_default();
-    let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
-
-    let items = multi_source_vertices(program, set);
-    let producers = options
-        .discover_shards
-        .unwrap_or(threads)
-        .clamp(1, items.len().max(1));
-    // One bounded queue per solve worker, with groups routed by
-    // `sink_key % threads`. Sticky routing sends every group of one sink
-    // function to the same worker, so the engine's group-scoped state
-    // (the incremental session, instance memo) amortizes across the many
-    // per-source groups a sink function fragments into under streaming —
-    // matching the barrier driver's one-global-group-per-sink behavior.
-    // The parallelism granularity is unchanged: the barrier driver also
-    // hands a sink function's whole group to a single worker.
-    let queues: Vec<BoundedQueue<StreamGroup>> = (0..threads)
-        .map(|_| BoundedQueue::new(2, producers))
-        .collect();
-    let item_cursor = AtomicUsize::new(0);
-    let producers_left = AtomicUsize::new(producers);
-    let discover_span: Mutex<Duration> = Mutex::new(Duration::ZERO);
-    let discover_steps = std::sync::atomic::AtomicU64::new(0);
-    let per_checker_steps: Mutex<Vec<u64>> = Mutex::new(vec![0u64; set.len()]);
-    let candidates_total = AtomicUsize::new(0);
-    let discovery_accts: Mutex<Vec<MemoryAccountant>> = Mutex::new(Vec::new());
-
-    let t0 = Instant::now();
-    // The compaction pass runs once, up front, inside the discovery span;
-    // producers and solve workers share it by reference.
-    let compact = options
-        .compact
-        .then(|| CompactPdg::build(program, pdg, set, &options.propagate));
-    let compact = compact.as_ref();
-    let outputs: Vec<WorkerOut> = std::thread::scope(|scope| {
-        // Discovery shards (producers): steal (checker, source) work
-        // items, group each item's candidates by sink function, stream
-        // the groups out.
-        for _ in 0..producers {
-            let queues = &queues;
-            let item_cursor = &item_cursor;
-            let producers_left = &producers_left;
-            let discover_span = &discover_span;
-            let discover_steps = &discover_steps;
-            let per_checker_steps = &per_checker_steps;
-            let candidates_total = &candidates_total;
-            let discovery_accts = &discovery_accts;
-            let items = &items;
-            scope.spawn(move || {
-                let mut acct = MemoryAccountant::new();
-                let mut local_steps = vec![0u64; set.len()];
-                // Flipped when a send is refused: some consumer's queue
-                // closed (it panicked), so the pipeline cannot complete —
-                // stop discovering, but still run the shutdown protocol
-                // below so every queue learns this producer is done.
-                let mut consumers_live = true;
-                while consumers_live {
-                    let i = item_cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let (id, src) = items[i];
-                    let d = discover_source_for_compact(
-                        program,
-                        pdg,
-                        set.get(id),
-                        id,
-                        &options.propagate,
-                        src,
-                        compact,
-                    );
-                    acct.charge(Category::Graph, d.state_bytes);
-                    acct.release(Category::Graph, d.state_bytes);
-                    discover_steps.fetch_add(d.steps, Ordering::Relaxed);
-                    local_steps[id.0] += d.steps;
-                    candidates_total.fetch_add(d.candidates.len(), Ordering::Relaxed);
-                    // Group by sink function within the work item
-                    // (first-occurrence order), preserving local indices
-                    // for the merge.
-                    let mut order: Vec<StreamGroup> = Vec::new();
-                    let mut slot: std::collections::HashMap<u64, usize> =
-                        std::collections::HashMap::new();
-                    for (local, cand) in d.candidates.into_iter().enumerate() {
-                        let key = cand.sink.func.0 as u64;
-                        match slot.get(&key) {
-                            Some(&g) => order[g].cands.push((local, cand)),
-                            None => {
-                                slot.insert(key, order.len());
-                                order.push(StreamGroup {
-                                    item_idx: i,
-                                    sink_key: key,
-                                    cands: vec![(local, cand)],
-                                });
-                            }
-                        }
-                    }
-                    for group in order {
-                        let worker = (group.sink_key as usize) % queues.len();
-                        if !queues[worker].send(group) {
-                            consumers_live = false;
-                            break;
-                        }
-                    }
-                }
-                // The discovery stage's wall span ends when the *last*
-                // shard finishes.
-                if producers_left.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    *discover_span.lock().expect("span lock") = t0.elapsed();
-                }
-                for queue in queues {
-                    queue.producer_done();
-                }
-                let mut shared = per_checker_steps.lock().expect("steps lock");
-                for (s, l) in shared.iter_mut().zip(&local_steps) {
-                    *s += l;
-                }
-                drop(shared);
-                discovery_accts.lock().expect("acct lock").push(acct);
-            });
-        }
-        // Solve workers (consumers), each draining its own sticky queue.
-        let mut handles = Vec::new();
-        for queue in queues.iter().take(threads) {
-            let slice_cache = options.slice_cache.clone();
-            let facts = facts.clone();
-            handles.push(scope.spawn(move || {
-                let mut engine = factory();
-                if let Some(sc) = slice_cache {
-                    engine.attach_slice_cache(sc);
-                }
-                if let Some(f) = &facts {
-                    engine.attach_absint(Arc::clone(f));
-                }
-                let mut out = WorkerOut {
-                    name: engine.name(),
-                    results: Vec::new(),
-                    tallies: vec![CandTally::default(); set.len()],
-                    memory: MemoryAccountant::new(),
-                    stages: EngineStages::default(),
-                    sessions_skipped: 0,
-                };
-                // Streamed groups fragment one sink function across many
-                // work items — including items of *different checkers*
-                // that share the sink; a group boundary is only announced
-                // when the sink key actually changes, so the engine's
-                // group-scoped state spans the fragments (and the
-                // checkers) exactly as it spans the barrier driver's
-                // single global group. (Verdicts never depend on where
-                // boundaries fall — `begin_group`'s contract — so this is
-                // purely a time/space trade.)
-                // Liveness: if this worker dies mid-solve (a panicking
-                // engine), the guard closes its queue on unwind, so
-                // producers parked on the bounded `not_full` condvar wake
-                // up, observe the refusal, and wind down — the panic then
-                // propagates through the scope join instead of
-                // deadlocking it. Harmless on orderly exit: the queue is
-                // already drained when the guard fires.
-                let _close_guard = CloseGuard::new(queue);
-                let mut last_key: Option<u64> = None;
-                while let Some(group) = queue.recv() {
-                    if last_key != Some(group.sink_key) {
-                        engine.begin_group(group.sink_key);
-                        last_key = Some(group.sink_key);
-                    }
-                    let (q_before, tr_before) = tally_totals(&out.tallies);
-                    for (local_idx, cand) in &group.cands {
-                        let checker_idx = cand.checker.0;
-                        let v = solve_candidate(
-                            program,
-                            pdg,
-                            engine.as_mut(),
-                            cache,
-                            facts.as_deref(),
-                            compact,
-                            None,
-                            set.get(cand.checker).kind,
-                            cand,
-                            &mut out.tallies[checker_idx],
-                        );
-                        out.results.push(((group.item_idx, *local_idx), v));
-                    }
-                    let (q_after, tr_after) = tally_totals(&out.tallies);
-                    if q_after == q_before && tr_after > tr_before {
-                        out.sessions_skipped += 1;
-                    }
-                }
-                out.memory = engine.memory().clone();
-                out.stages = engine.stage_totals();
-                out
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("solve worker"))
-            .collect()
-    });
-    let pipeline_wall = t0.elapsed();
-    let propagate_time = *discover_span.lock().expect("span lock");
-    let solve_time = pipeline_wall.saturating_sub(propagate_time);
-
-    // Deterministic merge: (work-item index, candidate index within the
-    // item) reproduces the fused sequential discovery order exactly —
-    // checker-major, since the work list is `(checker_idx, source_idx)`
-    // ordered.
-    let mut merged: Vec<((usize, usize), CandVerdict)> = Vec::new();
-    let mut tallies = vec![CandTally::default(); set.len()];
-    let engine_name = outputs.first().map(|o| o.name).unwrap_or("streaming");
-    let mut memories: Vec<MemoryAccountant> = Vec::with_capacity(outputs.len());
-    let mut stages = StageStats {
-        discover_wall: propagate_time,
-        discovery_steps: discover_steps.load(Ordering::Relaxed),
-        discovery_shards: producers,
-        ..StageStats::default()
-    };
-    let mut sessions_skipped = 0u64;
-    for o in outputs {
-        for (t, wt) in tallies.iter_mut().zip(&o.tallies) {
-            t.add(wt);
-        }
-        memories.push(o.memory);
-        stages.add_engine(&o.stages);
-        sessions_skipped += o.sessions_skipped;
-        merged.extend(o.results);
-    }
-    merged.sort_by_key(|(key, _)| *key);
-    fill_triage_stats(&mut stages, &tallies, sessions_skipped);
-    fill_compact_stats(&mut stages, compact);
-
-    let graph_bytes = program.size() as u64 * BYTES_PER_DEF;
-    let cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0)
-        + options.slice_cache.as_ref().map(|c| c.bytes()).unwrap_or(0);
-    let discovery_accts = discovery_accts.into_inner().expect("acct lock");
-    let mem = run_accounting(
-        memories.iter().chain(discovery_accts.iter()),
-        graph_bytes,
-        cache_bytes,
-    );
-    let cache_stats = cache
-        .map(|c| c.stats().since(&cache_before))
-        .unwrap_or_default();
-    let slice_stats = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats().since(&slice_before))
-        .unwrap_or_default();
-
-    let ordered: Vec<(CheckerId, CandVerdict)> = merged
-        .into_iter()
-        .map(|((item_idx, _), v)| (items[item_idx].0, v))
-        .collect();
-    let queries = tallies.iter().map(|t| t.queries).sum();
-    let per_checker_steps = per_checker_steps.into_inner().expect("steps lock");
-    let checkers = assemble_breakdowns(set, ordered, &tallies, &per_checker_steps);
-
-    MultiAnalysisRun {
-        engine: format!("{engine_name}×{threads}"),
-        checkers,
-        candidates: candidates_total.load(Ordering::Relaxed),
-        queries,
-        propagate_time,
-        solve_time,
-        peak_memory: mem.peak_total(),
-        cache: cache_stats,
-        slice: slice_stats,
-        stages,
-    }
-}
-
-/// Recorded outcomes of one session run, keyed by `(checker, source)`
-/// work item: the canonical per-candidate verdicts and the discovery
-/// steps the item took. A later warm run replays the record of every
-/// work item the edit cannot reach — byte-identically, because a work
-/// item whose call-graph component contains no edited function discovers
-/// the same candidates and receives the same verdicts as a cold run of
-/// the edited program (dependence paths, slice closures, and compaction
-/// liveness never leave the component). Only outcomes are recorded —
-/// never a path condition (§3.2.2).
-#[derive(Default)]
+/// Recorded outcomes of one run, keyed by `(checker, source)` work item:
+/// the canonical per-candidate verdicts and the discovery steps the item
+/// took. A later run replays the record of every work item its edit
+/// cannot reach — byte-identically, because a work item whose call-graph
+/// component contains no edited function discovers the same candidates
+/// and receives the same verdicts as a cold run of the edited program
+/// (dependence paths, slice closures, and compaction liveness never leave
+/// the component). Only outcomes are recorded — never a path condition
+/// (§3.2.2).
+#[derive(Debug, Clone, Default)]
 pub struct ItemOutcomes {
     map: std::collections::HashMap<(usize, Vertex), ItemRecord>,
 }
 
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub(crate) struct ItemRecord {
     pub(crate) verdicts: Vec<CandVerdict>,
     pub(crate) steps: u64,
@@ -1777,453 +974,327 @@ impl ItemOutcomes {
     }
 }
 
-/// Resident-state inputs of [`analyze_multi_streaming_session`]. A cold
-/// scan passes empty fields (no retained outcomes, no affected mask, so
-/// every work item runs live); a warm rescan passes the session's
-/// resident facts, compacted view, recorded outcomes, the edit's
-/// affected-function mask, and the provenance recorder.
+/// Where the engines that decide candidates come from. The thread count
+/// of a run is the number of engines.
+pub enum Engines<'a> {
+    /// One caller-owned engine, run inline on the calling thread. The
+    /// caller keeps the engine and can read its
+    /// [`FeasibilityEngine::records`] and [`FeasibilityEngine::memory`]
+    /// afterwards.
+    One(&'a mut dyn FeasibilityEngine),
+    /// A factory building one engine per worker, and the worker count
+    /// (1 runs inline, with the exact accounting of [`Engines::One`]).
+    PerThread(&'a (dyn Fn() -> Box<dyn FeasibilityEngine> + Sync), usize),
+}
+
+impl Engines<'_> {
+    fn threads(&self) -> usize {
+        match self {
+            Engines::One(_) => 1,
+            Engines::PerThread(_, threads) => (*threads).max(1),
+        }
+    }
+}
+
+/// What [`analyze`] does with each `(checker, source)` work item: run it
+/// (discover its candidates and decide them), replay its recorded
+/// [`ItemOutcomes`] record, or mask it (no report, no record).
+/// [`Plan::default`] is a cold scan that runs every item; a warm rescan
+/// replays the items its edit cannot reach; a shard masks the items it
+/// does not own.
 #[derive(Default)]
-pub struct SessionParams<'a> {
-    /// Precomputed abstract facts (`None` = absint off for this run).
-    /// The session driver never computes facts itself — the resident
-    /// session owns them and recomputes only dirty functions.
-    pub facts: Option<Arc<ProgramFacts>>,
-    /// Resident compacted view (`None` = compaction off).
-    pub compact: Option<&'a CompactPdg>,
-    /// Outcomes recorded by the previous session run.
+pub struct Plan<'a> {
+    /// Outcomes recorded by an earlier run, replayed for unaffected items.
     pub retained: Option<&'a ItemOutcomes>,
     /// Per-function "the edit can reach this" mask — the connected
     /// component of the edited functions over the symmetric
-    /// caller∪callee adjacency (of the old and new programs). A work
-    /// item whose source function is unaffected replays its retained
-    /// record instead of re-running discovery and solving.
+    /// caller∪callee adjacency (of the old and new programs). An item
+    /// whose source function is unaffected replays its retained record,
+    /// if it has one. Out-of-range functions (the program grew) count as
+    /// affected; `None` marks every function affected.
     pub affected: Option<&'a [bool]>,
+    /// Per-function ownership mask: an item whose source function is not
+    /// owned is masked. `None` owns every function.
+    pub owned: Option<&'a [bool]>,
+    /// Resident abstract facts. `None` computes them when
+    /// [`AnalysisOptions::absint`] is on and at least one item runs.
+    pub facts: Option<Arc<ProgramFacts>>,
+    /// Resident compacted view. `None` builds one when
+    /// [`AnalysisOptions::compact`] is on and at least one item runs.
+    pub compact: Option<&'a CompactPdg>,
     /// Provenance recorder for verdict/iso-memo inserts (the
     /// `path_set_key → functions` index the next edit's invalidation
     /// uses).
-    pub prov: Option<&'a crate::incremental::SessionProvenance>,
+    pub prov: Option<&'a SessionProvenance>,
 }
 
-/// The session driver behind the warm analysis service: the fused
-/// streaming pipeline of [`analyze_multi_streaming_with_cache`], run
-/// over only the **live** `(checker, source)` work items — those the
-/// edit's affected set can reach, or that have no retained record —
-/// while every other item replays its recorded outcome. Returns the run
-/// plus the refreshed [`ItemOutcomes`] for the next rescan.
+/// One work item's fate under a [`Plan`].
+enum Fate<'a> {
+    Run,
+    Replay(&'a ItemRecord),
+    Masked,
+}
+
+impl<'a> Plan<'a> {
+    fn fate(&self, id: CheckerId, src: Vertex) -> Fate<'a> {
+        let f = src.func.index();
+        if self
+            .owned
+            .is_some_and(|o| !o.get(f).copied().unwrap_or(true))
+        {
+            return Fate::Masked;
+        }
+        let unaffected = self
+            .affected
+            .is_some_and(|a| !a.get(f).copied().unwrap_or(true));
+        match self.retained.and_then(|r| r.get(id, src)) {
+            Some(rec) if unaffected => Fate::Replay(rec),
+            _ => Fate::Run,
+        }
+    }
+}
+
+/// Runs a [`CheckerSet`] over a program in **one fused pass**: the outer
+/// loop of Algorithm 5 for every `(checker, source)` work item at once.
 ///
-/// Reports are byte-identical to a cold batch scan of the same program
-/// at any thread count: live items go through the exact cold machinery
-/// (same discovery, same solve path, same caches), and replayed items
-/// are sound because an unaffected component is untouched by the edit.
-/// Counters differ by design — that is the point: replayed items
-/// contribute their recorded candidates and discovery steps, but zero
-/// queries, cache traffic, and engine wall.
-#[allow(clippy::too_many_arguments)] // mirrors the other drivers' signatures plus session state
-pub fn analyze_multi_streaming_session(
+/// Items that run are discovered first (sharded across the engines'
+/// threads, merged in item order), then all their candidates are grouped
+/// by sink function and decided one group at a time. Group keys ignore
+/// the checker, so candidates from different checkers landing on the
+/// same sink share the engine's group-scoped state (sessions, instance
+/// memos) and the slice memo. With one engine the groups are solved
+/// inline; with more, workers steal whole groups off an atomic cursor and
+/// results merge back by candidate index. Replayed items contribute their
+/// recorded verdicts and steps, with zero queries and cache traffic.
+///
+/// A candidate is reported when *any* of its alternative paths is
+/// feasible; it is suppressed only when every path is proven infeasible;
+/// undecided candidates are reported conservatively (matching how bug
+/// detectors treat solver timeouts). Reports are byte-identical at any
+/// thread count and for any plan that replays records of the same
+/// program.
+pub fn analyze(
     program: &Program,
     pdg: &Pdg,
     set: &CheckerSet,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
+    engines: Engines<'_>,
     options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-    params: SessionParams<'_>,
-) -> (MultiAnalysisRun, ItemOutcomes) {
+    plan: Plan<'_>,
+) -> MultiAnalysisRun {
     debug_validate(program);
-    let threads = threads.max(1);
-    let facts = params.facts;
-    let compact = params.compact;
-    let prov = params.prov;
+    let threads = engines.threads();
+    let per_thread = matches!(engines, Engines::PerThread(..));
     let items = multi_source_vertices(program, set);
-
-    // Partition the work list: an item replays iff its source function is
-    // provably unaffected by the edit *and* a retained record exists.
-    // Out-of-range functions (the program grew) count as affected.
-    let replay: Vec<Option<ItemRecord>> = items
+    let fates: Vec<Fate> = items.iter().map(|&(id, src)| plan.fate(id, src)).collect();
+    let live: Vec<(CheckerId, Vertex)> = items
         .iter()
-        .map(|(id, src)| {
-            let unaffected = params
-                .affected
-                .is_some_and(|a| !a.get(src.func.index()).copied().unwrap_or(true));
-            if unaffected {
-                params.retained.and_then(|r| r.get(*id, *src)).cloned()
-            } else {
-                None
-            }
-        })
+        .zip(&fates)
+        .filter(|(_, f)| matches!(f, Fate::Run))
+        .map(|(&item, _)| item)
         .collect();
-    let live: Vec<usize> = (0..items.len()).filter(|&i| replay[i].is_none()).collect();
-
+    let cache = options.cache.as_deref();
+    let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
     let slice_before = options
         .slice_cache
         .as_ref()
         .map(|c| c.stats())
         .unwrap_or_default();
-    let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
-
-    /// One unit of streamed work (same shape as the cold streaming
-    /// driver's), tagged with the *original* work-item index.
-    struct StreamGroup {
-        item_idx: usize,
-        sink_key: u64,
-        cands: Vec<(usize, Candidate)>,
-    }
-
-    struct WorkerOut {
-        name: &'static str,
-        results: Vec<((usize, usize), CandVerdict)>,
-        tallies: Vec<CandTally>,
-        memory: MemoryAccountant,
-        stages: EngineStages,
-        sessions_skipped: u64,
-    }
-
-    let item_steps: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
-    let discovery_accts: Mutex<Vec<MemoryAccountant>> = Mutex::new(Vec::new());
+    // Abstract facts, shared by driver-side triage and engine-side
+    // seeding (memoized per function inside).
+    let facts = plan.facts.clone().or_else(|| {
+        (options.absint && !live.is_empty()).then(|| Arc::new(ProgramFacts::compute(program)))
+    });
 
     let t0 = Instant::now();
-    let (outputs, propagate_time, shards): (Vec<WorkerOut>, Duration, usize) = if threads == 1 {
-        // Inline sequential path: one engine, live items in work-item
-        // order, per-item sink grouping (identical reports to the global
-        // grouping — verdicts never depend on group boundaries).
-        let mut engine = factory();
-        if let Some(sc) = &options.slice_cache {
-            engine.attach_slice_cache(Arc::clone(sc));
-        }
-        if let Some(f) = &facts {
-            engine.attach_absint(Arc::clone(f));
-        }
-        let mut out = WorkerOut {
-            name: engine.name(),
-            results: Vec::new(),
-            tallies: vec![CandTally::default(); set.len()],
-            memory: MemoryAccountant::new(),
-            stages: EngineStages::default(),
-            sessions_skipped: 0,
-        };
-        let mut acct = MemoryAccountant::new();
-        let mut discover_wall = Duration::ZERO;
-        let mut last_key: Option<u64> = None;
-        for &i in &live {
-            let (id, src) = items[i];
-            let td = Instant::now();
-            let d = discover_source_for_compact(
-                program,
-                pdg,
-                set.get(id),
-                id,
-                &options.propagate,
-                src,
-                compact,
-            );
-            discover_wall += td.elapsed();
-            acct.charge(Category::Graph, d.state_bytes);
-            acct.release(Category::Graph, d.state_bytes);
-            item_steps.lock().expect("steps lock").push((i, d.steps));
-            let mut order: Vec<(u64, Vec<(usize, Candidate)>)> = Vec::new();
-            let mut slot: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-            for (local, cand) in d.candidates.into_iter().enumerate() {
-                let key = cand.sink.func.0 as u64;
-                match slot.get(&key) {
-                    Some(&g) => order[g].1.push((local, cand)),
-                    None => {
-                        slot.insert(key, order.len());
-                        order.push((key, vec![(local, cand)]));
-                    }
-                }
-            }
-            for (key, cands) in order {
-                if last_key != Some(key) {
-                    engine.begin_group(key);
-                    last_key = Some(key);
-                }
-                let (q_before, tr_before) = tally_totals(&out.tallies);
-                for (local, cand) in &cands {
-                    let v = solve_candidate(
-                        program,
-                        pdg,
-                        engine.as_mut(),
-                        cache,
-                        facts.as_deref(),
-                        compact,
-                        prov,
-                        set.get(cand.checker).kind,
-                        cand,
-                        &mut out.tallies[cand.checker.0],
-                    );
-                    out.results.push(((i, *local), v));
-                }
-                let (q_after, tr_after) = tally_totals(&out.tallies);
-                if q_after == q_before && tr_after > tr_before {
-                    out.sessions_skipped += 1;
-                }
-            }
-        }
-        out.memory = engine.memory().clone();
-        out.stages = engine.stage_totals();
-        discovery_accts.lock().expect("acct lock").push(acct);
-        (vec![out], discover_wall, 1)
-    } else {
-        // Streaming pipeline over the live items only (same machinery as
-        // the cold streaming driver: sticky sink routing, bounded queues,
-        // deterministic merge keys).
-        let producers = options
-            .discover_shards
-            .unwrap_or(threads)
-            .clamp(1, live.len().max(1));
-        let queues: Vec<BoundedQueue<StreamGroup>> = (0..threads)
-            .map(|_| BoundedQueue::new(2, producers))
-            .collect();
-        let live_cursor = AtomicUsize::new(0);
-        let producers_left = AtomicUsize::new(producers);
-        let discover_span: Mutex<Duration> = Mutex::new(Duration::ZERO);
-        let outputs: Vec<WorkerOut> = std::thread::scope(|scope| {
-            for _ in 0..producers {
-                let queues = &queues;
-                let live = &live;
-                let items = &items;
-                let live_cursor = &live_cursor;
-                let producers_left = &producers_left;
-                let discover_span = &discover_span;
-                let item_steps = &item_steps;
-                let discovery_accts = &discovery_accts;
-                scope.spawn(move || {
-                    let mut acct = MemoryAccountant::new();
-                    let mut consumers_live = true;
-                    while consumers_live {
-                        let n = live_cursor.fetch_add(1, Ordering::Relaxed);
-                        if n >= live.len() {
-                            break;
-                        }
-                        let i = live[n];
-                        let (id, src) = items[i];
-                        let d = discover_source_for_compact(
-                            program,
-                            pdg,
-                            set.get(id),
-                            id,
-                            &options.propagate,
-                            src,
-                            compact,
-                        );
-                        acct.charge(Category::Graph, d.state_bytes);
-                        acct.release(Category::Graph, d.state_bytes);
-                        item_steps.lock().expect("steps lock").push((i, d.steps));
-                        let mut order: Vec<StreamGroup> = Vec::new();
-                        let mut slot: std::collections::HashMap<u64, usize> =
-                            std::collections::HashMap::new();
-                        for (local, cand) in d.candidates.into_iter().enumerate() {
-                            let key = cand.sink.func.0 as u64;
-                            match slot.get(&key) {
-                                Some(&g) => order[g].cands.push((local, cand)),
-                                None => {
-                                    slot.insert(key, order.len());
-                                    order.push(StreamGroup {
-                                        item_idx: i,
-                                        sink_key: key,
-                                        cands: vec![(local, cand)],
-                                    });
-                                }
-                            }
-                        }
-                        for group in order {
-                            let worker = (group.sink_key as usize) % queues.len();
-                            if !queues[worker].send(group) {
-                                consumers_live = false;
-                                break;
-                            }
-                        }
-                    }
-                    if producers_left.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        *discover_span.lock().expect("span lock") = t0.elapsed();
-                    }
-                    for queue in queues {
-                        queue.producer_done();
-                    }
-                    discovery_accts.lock().expect("acct lock").push(acct);
-                });
-            }
-            let mut handles = Vec::new();
-            for queue in queues.iter().take(threads) {
-                let slice_cache = options.slice_cache.clone();
-                let facts = facts.clone();
-                handles.push(scope.spawn(move || {
-                    let mut engine = factory();
-                    if let Some(sc) = slice_cache {
-                        engine.attach_slice_cache(sc);
-                    }
-                    if let Some(f) = &facts {
-                        engine.attach_absint(Arc::clone(f));
-                    }
-                    let mut out = WorkerOut {
-                        name: engine.name(),
-                        results: Vec::new(),
-                        tallies: vec![CandTally::default(); set.len()],
-                        memory: MemoryAccountant::new(),
-                        stages: EngineStages::default(),
-                        sessions_skipped: 0,
-                    };
-                    let _close_guard = CloseGuard::new(queue);
-                    let mut last_key: Option<u64> = None;
-                    while let Some(group) = queue.recv() {
-                        if last_key != Some(group.sink_key) {
-                            engine.begin_group(group.sink_key);
-                            last_key = Some(group.sink_key);
-                        }
-                        let (q_before, tr_before) = tally_totals(&out.tallies);
-                        for (local_idx, cand) in &group.cands {
-                            let v = solve_candidate(
-                                program,
-                                pdg,
-                                engine.as_mut(),
-                                cache,
-                                facts.as_deref(),
-                                compact,
-                                prov,
-                                set.get(cand.checker).kind,
-                                cand,
-                                &mut out.tallies[cand.checker.0],
-                            );
-                            out.results.push(((group.item_idx, *local_idx), v));
-                        }
-                        let (q_after, tr_after) = tally_totals(&out.tallies);
-                        if q_after == q_before && tr_after > tr_before {
-                            out.sessions_skipped += 1;
-                        }
-                    }
-                    out.memory = engine.memory().clone();
-                    out.stages = engine.stage_totals();
-                    out
-                }));
-            }
+    // The compaction pass runs inside the discovery span: its build cost
+    // is part of what the discover wall attributes.
+    let built = (plan.compact.is_none() && options.compact && !live.is_empty())
+        .then(|| CompactPdg::build(program, pdg, set, &options.propagate));
+    let compact = plan.compact.or(built.as_ref());
+    let discovery = discover_items(
+        program,
+        pdg,
+        set,
+        &options.propagate,
+        &live,
+        threads,
+        compact,
+    );
+    let propagate_time = t0.elapsed();
+    let mut live_steps = Vec::with_capacity(live.len());
+    let mut candidates = Vec::new();
+    for d in discovery.items {
+        live_steps.push((d.steps, d.candidates.len()));
+        candidates.extend(d.candidates);
+    }
+
+    let groups = group_by_sink(&candidates);
+    let solve = Solve {
+        program,
+        pdg,
+        set,
+        cache,
+        facts: facts.as_ref(),
+        compact,
+        prov: plan.prov,
+        slice_cache: options.slice_cache.as_ref(),
+        candidates: &candidates,
+        groups: &groups,
+        cursor: AtomicUsize::new(0),
+    };
+    let t1 = Instant::now();
+    let workers = threads.min(groups.len()).max(1);
+    let outputs: Vec<WorkerOut> = match engines {
+        Engines::One(engine) => vec![solve.work(engine)],
+        Engines::PerThread(factory, _) if workers == 1 => vec![solve.work(factory().as_mut())],
+        Engines::PerThread(factory, _) => std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| solve.work(factory().as_mut())))
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("solve worker"))
                 .collect()
-        });
-        let span = *discover_span.lock().expect("span lock");
-        (outputs, span, producers)
+        }),
     };
-    let pipeline_wall = t0.elapsed();
-    let solve_time = pipeline_wall.saturating_sub(propagate_time);
+    let solve_time = t1.elapsed();
 
-    let mut merged: Vec<((usize, usize), CandVerdict)> = Vec::new();
+    let engine = if per_thread {
+        format!("{}×{threads}", outputs[0].name)
+    } else {
+        outputs[0].name.to_string()
+    };
     let mut tallies = vec![CandTally::default(); set.len()];
-    let engine_name = outputs.first().map(|o| o.name).unwrap_or("session");
-    let mut memories: Vec<MemoryAccountant> = Vec::with_capacity(outputs.len());
     let mut stages = StageStats::default();
     let mut sessions_skipped = 0u64;
+    let mut memories: Vec<MemoryAccountant> = Vec::with_capacity(outputs.len());
+    let mut merged: Vec<(usize, CandVerdict)> = Vec::with_capacity(candidates.len());
     for o in outputs {
         for (t, wt) in tallies.iter_mut().zip(&o.tallies) {
             t.add(wt);
         }
-        memories.push(o.memory);
         stages.add_engine(&o.stages);
         sessions_skipped += o.sessions_skipped;
+        memories.push(o.memory);
         merged.extend(o.results);
     }
-    merged.sort_by_key(|(key, _)| *key);
+    // Merge by candidate index: the concatenation of the live items'
+    // candidates in item order, whichever worker stole which group.
+    merged.sort_by_key(|(idx, _)| *idx);
 
-    // Reassemble the canonical per-item verdict lists: replayed records
-    // verbatim, live results in (item, local) order.
-    let mut per_item: Vec<Vec<CandVerdict>> = Vec::with_capacity(items.len());
-    let mut steps_per_item: Vec<u64> = Vec::with_capacity(items.len());
-    for r in replay {
-        match r {
-            Some(rec) => {
-                steps_per_item.push(rec.steps);
-                per_item.push(rec.verdicts);
-            }
-            None => {
-                steps_per_item.push(0);
-                per_item.push(Vec::new());
-            }
-        }
-    }
-    let live_candidates = merged.len() as u64;
-    for ((item, _local), v) in merged {
-        per_item[item].push(v);
-    }
-    for (i, s) in item_steps.into_inner().expect("steps lock") {
-        steps_per_item[i] = s;
-    }
-
+    // Reassemble every unmasked item's verdict list in item order —
+    // replayed records verbatim, live items from the merge — recording
+    // each for the next run.
+    let mut verdicts = merged.into_iter().map(|(_, v)| v);
+    let mut live_steps = live_steps.into_iter();
     let mut outcomes = ItemOutcomes::default();
-    for (i, (id, src)) in items.iter().enumerate() {
-        outcomes.map.insert(
-            (id.0, *src),
-            ItemRecord {
-                verdicts: per_item[i].clone(),
-                steps: steps_per_item[i],
-            },
-        );
-    }
-
+    let mut ordered: Vec<(CheckerId, CandVerdict)> = Vec::new();
     let mut per_checker_steps = vec![0u64; set.len()];
-    for (i, (id, _)) in items.iter().enumerate() {
-        per_checker_steps[id.0] += steps_per_item[i];
+    for (&(id, src), fate) in items.iter().zip(fates) {
+        let rec = match fate {
+            Fate::Masked => continue,
+            Fate::Replay(rec) => rec.clone(),
+            Fate::Run => {
+                let (steps, n) = live_steps.next().expect("one discovery per live item");
+                ItemRecord {
+                    verdicts: verdicts.by_ref().take(n).collect(),
+                    steps,
+                }
+            }
+        };
+        per_checker_steps[id.0] += rec.steps;
+        ordered.extend(rec.verdicts.iter().map(|v| (id, v.clone())));
+        outcomes.map.insert((id.0, src), rec);
     }
-    stages.discover_wall = propagate_time;
-    stages.discovery_steps = steps_per_item.iter().sum();
-    stages.discovery_shards = shards;
-    stages.candidates_reanalyzed = live_candidates;
-    fill_triage_stats(&mut stages, &tallies, sessions_skipped);
-    fill_compact_stats(&mut stages, compact);
 
+    stages.discover_wall = propagate_time;
+    stages.discovery_steps = per_checker_steps.iter().sum();
+    stages.discovery_shards = discovery.shards;
+    stages.candidates_reanalyzed = candidates.len() as u64;
+    stages.triaged_paths = tallies.iter().map(|t| t.triaged_paths).sum();
+    stages.triaged_candidates = tallies.iter().map(|t| t.triaged_candidates).sum();
+    stages.slices_skipped = tallies.iter().map(|t| t.slices_skipped).sum();
+    stages.sessions_skipped = sessions_skipped;
+    stages.iso_hits = tallies.iter().map(|t| t.iso_hits).sum();
+    if let Some(c) = compact {
+        let cs = c.stats();
+        stages.vertices_pruned = cs.vertices_pruned;
+        stages.edges_pruned = cs.edges_pruned;
+        stages.chains_collapsed = cs.chains_collapsed;
+    }
+
+    // The graph and the caches are retained for the whole run; every
+    // engine and discovery shard was live during it. Because the whole
+    // checker set runs in one pass, this is the true whole-scan peak —
+    // not a max over per-checker passes.
     let graph_bytes = program.size() as u64 * BYTES_PER_DEF;
     let cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0)
         + options.slice_cache.as_ref().map(|c| c.bytes()).unwrap_or(0);
-    let discovery_accts = discovery_accts.into_inner().expect("acct lock");
     let mem = run_accounting(
-        memories.iter().chain(discovery_accts.iter()),
+        memories.iter().chain(discovery.memory.iter()),
         graph_bytes,
         cache_bytes,
     );
-    let cache_stats = cache
-        .map(|c| c.stats().since(&cache_before))
-        .unwrap_or_default();
-    let slice_stats = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats().since(&slice_before))
-        .unwrap_or_default();
-
-    let candidates_total: usize = per_item.iter().map(|v| v.len()).sum();
-    let ordered: Vec<(CheckerId, CandVerdict)> = items
-        .iter()
-        .zip(per_item)
-        .flat_map(|(&(id, _), vs)| vs.into_iter().map(move |v| (id, v)))
-        .collect();
-    let queries = tallies.iter().map(|t| t.queries).sum();
-    let checkers = assemble_breakdowns(set, ordered, &tallies, &per_checker_steps);
-
-    let run = MultiAnalysisRun {
-        engine: format!("{engine_name}×{threads}"),
-        checkers,
+    let candidates_total = ordered.len();
+    MultiAnalysisRun {
+        engine,
+        checkers: assemble_breakdowns(set, ordered, &tallies, &per_checker_steps),
         candidates: candidates_total,
-        queries,
+        queries: tallies.iter().map(|t| t.queries).sum(),
         propagate_time,
         solve_time,
         peak_memory: mem.peak_total(),
-        cache: cache_stats,
-        slice: slice_stats,
+        cache: cache
+            .map(|c| c.stats().since(&cache_before))
+            .unwrap_or_default(),
+        slice: options
+            .slice_cache
+            .as_ref()
+            .map(|c| c.stats().since(&slice_before))
+            .unwrap_or_default(),
         stages,
-    };
-    (run, outcomes)
+        outcomes,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkers::Checker;
     use crate::graph_solver::FusionSolver;
     use fusion_ir::{compile, CompileOptions};
     use fusion_smt::solver::SolverConfig;
+
+    /// A single-checker run on one caller-owned engine.
+    fn one(
+        p: &Program,
+        g: &Pdg,
+        checker: &Checker,
+        engine: &mut dyn FeasibilityEngine,
+        opts: &AnalysisOptions,
+    ) -> AnalysisRun {
+        let set = CheckerSet::single(checker.clone());
+        analyze(p, g, &set, Engines::One(engine), opts, Plan::default()).into_single()
+    }
+
+    /// A single-checker run on `threads` factory-built engines.
+    fn per_thread(
+        p: &Program,
+        g: &Pdg,
+        checker: &Checker,
+        threads: usize,
+        opts: &AnalysisOptions,
+    ) -> AnalysisRun {
+        let set = CheckerSet::single(checker.clone());
+        let engines = Engines::PerThread(&fusion_factory, threads);
+        analyze(p, g, &set, engines, opts, Plan::default()).into_single()
+    }
 
     fn run(src: &str) -> AnalysisRun {
         let p = compile(src, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let mut engine = FusionSolver::new(SolverConfig::default());
-        analyze(
+        one(
             &p,
             &g,
             &Checker::null_deref(),
@@ -2268,22 +1339,18 @@ mod tests {
         let p = compile(src, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let mut engine = FusionSolver::new(SolverConfig::default());
-        let seq = analyze(
+        let seq = one(
             &p,
             &g,
             &Checker::null_deref(),
             &mut engine,
             &AnalysisOptions::new(),
         );
-        let factory = || -> Box<dyn FeasibilityEngine> {
-            Box::new(FusionSolver::new(SolverConfig::default()))
-        };
         for threads in [1usize, 2, 4] {
-            let par = analyze_parallel(
+            let par = per_thread(
                 &p,
                 &g,
                 &Checker::null_deref(),
-                &factory,
                 threads,
                 &AnalysisOptions::new(),
             );
@@ -2317,14 +1384,7 @@ mod tests {
     fn parallel_engine_name_keeps_base_and_thread_count() {
         let p = compile(MULTI_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
-        let run = analyze_parallel(
-            &p,
-            &g,
-            &Checker::null_deref(),
-            &fusion_factory,
-            4,
-            &AnalysisOptions::new(),
-        );
+        let run = per_thread(&p, &g, &Checker::null_deref(), 4, &AnalysisOptions::new());
         assert_eq!(run.engine, "fusion×4");
     }
 
@@ -2334,15 +1394,15 @@ mod tests {
         let g = Pdg::build(&p);
         let opts = AnalysisOptions::without_cache();
         let mut engine = FusionSolver::new(SolverConfig::default());
-        let seq = analyze(&p, &g, &Checker::null_deref(), &mut engine, &opts);
+        let seq = one(&p, &g, &Checker::null_deref(), &mut engine, &opts);
         // One worker: the unified accounting path must yield the exact
         // sequential peak.
-        let par1 = analyze_parallel(&p, &g, &Checker::null_deref(), &fusion_factory, 1, &opts);
+        let par1 = per_thread(&p, &g, &Checker::null_deref(), 1, &opts);
         assert_eq!(seq.peak_memory, par1.peak_memory, "1-thread parity");
         // Many workers: each retains its own engine state, so the summed
         // peak is bounded below by the sequential peak and above by
         // `threads` sequential peaks.
-        let par4 = analyze_parallel(&p, &g, &Checker::null_deref(), &fusion_factory, 4, &opts);
+        let par4 = per_thread(&p, &g, &Checker::null_deref(), 4, &opts);
         assert!(par4.peak_memory >= seq.peak_memory);
         assert!(par4.peak_memory <= seq.peak_memory * 4);
     }
@@ -2353,7 +1413,7 @@ mod tests {
         let g = Pdg::build(&p);
         let uncached = {
             let mut e = FusionSolver::new(SolverConfig::default());
-            analyze(
+            one(
                 &p,
                 &g,
                 &Checker::null_deref(),
@@ -2363,29 +1423,15 @@ mod tests {
         };
         assert_eq!(uncached.cache, crate::cache::CacheStats::default());
 
-        // Two sequential runs sharing one cache: the second run is all hits.
-        let shared = VerdictCache::new();
+        // Two runs with the same options share its verdict cache: the
+        // second run is all hits.
         let opts = AnalysisOptions::new();
         let mut e1 = FusionSolver::new(SolverConfig::default());
-        let first = analyze_with_cache(
-            &p,
-            &g,
-            &Checker::null_deref(),
-            &mut e1,
-            &opts,
-            Some(&shared),
-        );
+        let first = one(&p, &g, &Checker::null_deref(), &mut e1, &opts);
         assert!(first.cache.misses > 0);
         assert!(first.cache.inserts > 0);
         let mut e2 = FusionSolver::new(SolverConfig::default());
-        let second = analyze_with_cache(
-            &p,
-            &g,
-            &Checker::null_deref(),
-            &mut e2,
-            &opts,
-            Some(&shared),
-        );
+        let second = one(&p, &g, &Checker::null_deref(), &mut e2, &opts);
         assert!(second.cache.hits > 0, "warm cache must hit");
         assert_eq!(second.queries, 0, "every verdict came from the cache");
 
@@ -2411,13 +1457,17 @@ mod tests {
         (r.source, r.sink, r.verdict, r.path.nodes.clone())
     }
 
+    fn fused(p: &Program, g: &Pdg, set: &CheckerSet, opts: &AnalysisOptions) -> MultiAnalysisRun {
+        let mut engine = FusionSolver::new(SolverConfig::default());
+        analyze(p, g, set, Engines::One(&mut engine), opts, Plan::default())
+    }
+
     #[test]
     fn fused_multi_matches_per_checker_runs() {
         let p = compile(FUSED_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let set = CheckerSet::all();
-        let mut engine = FusionSolver::new(SolverConfig::default());
-        let fused = analyze_multi(&p, &g, &set, &mut engine, &AnalysisOptions::new());
+        let fused = fused(&p, &g, &set, &AnalysisOptions::new());
         assert_eq!(fused.checkers.len(), 3);
         assert_eq!(
             fused.checkers.iter().map(|b| b.candidates).sum::<usize>(),
@@ -2429,7 +1479,7 @@ mod tests {
         );
         for (id, checker) in set.iter() {
             let mut e = FusionSolver::new(SolverConfig::default());
-            let single = analyze(&p, &g, checker, &mut e, &AnalysisOptions::new());
+            let single = one(&p, &g, checker, &mut e, &AnalysisOptions::new());
             let b = &fused.checkers[id.0];
             assert_eq!(b.kind, checker.kind);
             assert_eq!(b.candidates, single.candidates, "candidates for {id}");
@@ -2450,40 +1500,28 @@ mod tests {
     }
 
     #[test]
-    fn fused_parallel_and_streaming_match_fused_sequential() {
+    fn fused_threads_match_fused_sequential() {
         let p = compile(FUSED_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let set = CheckerSet::all();
-        let mut engine = FusionSolver::new(SolverConfig::default());
-        let seq = analyze_multi(&p, &g, &set, &mut engine, &AnalysisOptions::new());
-        for threads in [1usize, 2, 4] {
-            let par = analyze_multi_parallel(
+        let seq = fused(&p, &g, &set, &AnalysisOptions::new());
+        for threads in [1usize, 2, 4, 8] {
+            let run = analyze(
                 &p,
                 &g,
                 &set,
-                &fusion_factory,
-                threads,
+                Engines::PerThread(&fusion_factory, threads),
                 &AnalysisOptions::new(),
+                Plan::default(),
             );
-            let stream = analyze_multi_streaming(
-                &p,
-                &g,
-                &set,
-                &fusion_factory,
-                threads,
-                &AnalysisOptions::new(),
-            );
-            assert_eq!(par.engine, format!("fusion×{threads}"));
-            assert_eq!(stream.engine, format!("fusion×{threads}"));
-            for run in [&par, &stream] {
-                assert_eq!(run.candidates, seq.candidates, "threads={threads}");
-                for (sb, rb) in seq.checkers.iter().zip(&run.checkers) {
-                    assert_eq!(sb.kind, rb.kind);
-                    assert_eq!(sb.suppressed, rb.suppressed, "threads={threads}");
-                    let a: Vec<_> = sb.reports.iter().map(report_key).collect();
-                    let b: Vec<_> = rb.reports.iter().map(report_key).collect();
-                    assert_eq!(a, b, "threads={threads} kind={}", sb.kind);
-                }
+            assert_eq!(run.engine, format!("fusion×{threads}"));
+            assert_eq!(run.candidates, seq.candidates, "threads={threads}");
+            for (sb, rb) in seq.checkers.iter().zip(&run.checkers) {
+                assert_eq!(sb.kind, rb.kind);
+                assert_eq!(sb.suppressed, rb.suppressed, "threads={threads}");
+                let a: Vec<_> = sb.reports.iter().map(report_key).collect();
+                let b: Vec<_> = rb.reports.iter().map(report_key).collect();
+                assert_eq!(a, b, "threads={threads} kind={}", sb.kind);
             }
         }
     }
@@ -2512,10 +1550,8 @@ mod tests {
             compact: true,
             ..AnalysisOptions::new()
         };
-        let mut e1 = FusionSolver::new(SolverConfig::default());
-        let plain = analyze_multi(&p, &g, &set, &mut e1, &off);
-        let mut e2 = FusionSolver::new(SolverConfig::default());
-        let compacted = analyze_multi(&p, &g, &set, &mut e2, &on);
+        let plain = fused(&p, &g, &set, &off);
+        let compacted = fused(&p, &g, &set, &on);
         for (pb, cb) in plain.checkers.iter().zip(&compacted.checkers) {
             assert_eq!(pb.kind, cb.kind);
             assert_eq!(pb.candidates, cb.candidates);
@@ -2551,14 +1587,13 @@ mod tests {
         let p = compile(FUSED_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let set = CheckerSet::all();
-        let mut engine = FusionSolver::new(SolverConfig::default());
-        let fused = analyze_multi(&p, &g, &set, &mut engine, &AnalysisOptions::without_cache());
+        let fused = fused(&p, &g, &set, &AnalysisOptions::without_cache());
         assert!(fused.stages.sessions_opened >= 1);
         let mut loop_sessions = 0u64;
         let mut loop_steps = 0u64;
         for (_, checker) in set.iter() {
             let mut e = FusionSolver::new(SolverConfig::default());
-            let run = analyze(&p, &g, checker, &mut e, &AnalysisOptions::without_cache());
+            let run = one(&p, &g, checker, &mut e, &AnalysisOptions::without_cache());
             loop_sessions += run.stages.sessions_opened;
             loop_steps += run.stages.discovery_steps;
         }
@@ -2577,22 +1612,14 @@ mod tests {
     }
 
     #[test]
-    fn single_checker_wrappers_ride_the_fused_path() {
-        // The singleton-set wrappers must report exactly what the fused
-        // driver's breakdown holds.
+    fn single_checker_view_matches_the_fused_breakdown() {
+        // `into_single` of a singleton-set run must report exactly what
+        // the fused breakdown holds.
         let p = compile(MULTI_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let set = CheckerSet::single(Checker::null_deref());
-        let mut e1 = FusionSolver::new(SolverConfig::default());
-        let multi = analyze_multi(&p, &g, &set, &mut e1, &AnalysisOptions::new());
-        let mut e2 = FusionSolver::new(SolverConfig::default());
-        let single = analyze(
-            &p,
-            &g,
-            &Checker::null_deref(),
-            &mut e2,
-            &AnalysisOptions::new(),
-        );
+        let multi = fused(&p, &g, &set, &AnalysisOptions::new());
+        let single = fused(&p, &g, &set, &AnalysisOptions::new()).into_single();
         assert_eq!(multi.checkers.len(), 1);
         let a: Vec<_> = multi.checkers[0].reports.iter().map(report_key).collect();
         let b: Vec<_> = single.reports.iter().map(report_key).collect();
@@ -2606,7 +1633,7 @@ mod tests {
         let p = compile(MULTI_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let mut engine = FusionSolver::new(SolverConfig::default());
-        let seq = analyze(
+        let seq = one(
             &p,
             &g,
             &Checker::null_deref(),
@@ -2614,27 +1641,77 @@ mod tests {
             &AnalysisOptions::without_cache(),
         );
         for threads in [1usize, 2, 4, 8] {
-            let par = analyze_parallel(
+            let par = per_thread(
                 &p,
                 &g,
                 &Checker::null_deref(),
-                &fusion_factory,
                 threads,
                 &AnalysisOptions::new(),
             );
             // Not just set equality: identical order and contents.
-            let a: Vec<_> = seq
-                .reports
-                .iter()
-                .map(|r| (r.source, r.sink, r.verdict, r.path.nodes.clone()))
-                .collect();
-            let b: Vec<_> = par
-                .reports
-                .iter()
-                .map(|r| (r.source, r.sink, r.verdict, r.path.nodes.clone()))
-                .collect();
+            let a: Vec<_> = seq.reports.iter().map(report_key).collect();
+            let b: Vec<_> = par.reports.iter().map(report_key).collect();
             assert_eq!(a, b, "threads = {threads}");
             assert_eq!(seq.suppressed, par.suppressed);
         }
+    }
+
+    #[test]
+    fn plan_replays_retained_items_and_masks_unowned_ones() {
+        let p = compile(FUSED_SRC, CompileOptions::default()).expect("compile");
+        let g = Pdg::build(&p);
+        let set = CheckerSet::all();
+        let cold = fused(&p, &g, &set, &AnalysisOptions::new());
+        assert_eq!(cold.outcomes.len(), multi_source_vertices(&p, &set).len());
+        assert_eq!(cold.stages.candidates_reanalyzed, cold.candidates as u64);
+
+        // Every function unaffected: pure replay, no discovery or solving.
+        let none = vec![false; p.functions.len()];
+        for threads in [1usize, 2, 4, 8] {
+            let warm = analyze(
+                &p,
+                &g,
+                &set,
+                Engines::PerThread(&fusion_factory, threads),
+                &AnalysisOptions::new(),
+                Plan {
+                    retained: Some(&cold.outcomes),
+                    affected: Some(&none),
+                    ..Plan::default()
+                },
+            );
+            let a: Vec<_> = cold.all_reports().map(report_key).collect();
+            let b: Vec<_> = warm.all_reports().map(report_key).collect();
+            assert_eq!(a, b, "threads = {threads}");
+            assert_eq!(warm.queries, 0);
+            assert_eq!(warm.stages.candidates_reanalyzed, 0);
+            assert_eq!(warm.stages.discovery_steps, cold.stages.discovery_steps);
+        }
+
+        // Owning only `a` keeps exactly the null checker's report.
+        let mut owned = vec![false; p.functions.len()];
+        owned[p.func_by_name("a").unwrap().id.index()] = true;
+        let shard = analyze(
+            &p,
+            &g,
+            &set,
+            Engines::PerThread(&fusion_factory, 2),
+            &AnalysisOptions::new(),
+            Plan {
+                owned: Some(&owned),
+                ..Plan::default()
+            },
+        );
+        let kept: Vec<_> = cold
+            .all_reports()
+            .filter(|r| owned[r.source.func.index()])
+            .map(report_key)
+            .collect();
+        assert!(!kept.is_empty());
+        assert_eq!(
+            shard.all_reports().map(report_key).collect::<Vec<_>>(),
+            kept
+        );
+        assert_eq!(shard.outcomes.len(), 1, "masked items leave no record");
     }
 }

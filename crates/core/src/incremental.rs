@@ -45,8 +45,7 @@ use crate::cache::{hash_transfer, Fnv, Key128, VerdictCache};
 use crate::checkers::CheckerSet;
 use crate::compact::CompactPdg;
 use crate::engine::{
-    analyze_multi_streaming_session, AnalysisOptions, FeasibilityEngine, ItemOutcomes,
-    MultiAnalysisRun, SessionParams,
+    analyze, AnalysisOptions, Engines, FeasibilityEngine, ItemOutcomes, MultiAnalysisRun, Plan,
 };
 use crate::slice_cache::SliceCache;
 use crate::snapshot::{self, SnapshotError, SnapshotWriter};
@@ -380,7 +379,6 @@ pub struct AnalysisSession {
     pdg: Option<Pdg>,
     facts: Option<Arc<ProgramFacts>>,
     compact: Option<CompactPdg>,
-    cache: VerdictCache,
     outcomes: Option<ItemOutcomes>,
     prov: SessionProvenance,
     tracker: Option<DirtinessTracker>,
@@ -400,7 +398,6 @@ impl AnalysisSession {
             pdg: None,
             facts: None,
             compact: None,
-            cache: VerdictCache::new(),
             outcomes: None,
             prov: SessionProvenance::default(),
             tracker: None,
@@ -423,9 +420,9 @@ impl AnalysisSession {
         self.pdg.as_ref()
     }
 
-    /// Bytes retained by the resident verdict cache.
+    /// Bytes retained by the resident verdict cache (0 with caching off).
     pub fn cache_bytes(&self) -> u64 {
-        self.cache.bytes()
+        self.options.cache.as_ref().map(|c| c.bytes()).unwrap_or(0)
     }
 
     /// Bytes retained by the resident slice-closure cache.
@@ -442,9 +439,9 @@ impl AnalysisSession {
         self.last
     }
 
-    /// Resident verdict-cache entry count.
+    /// Resident verdict-cache entry count (0 with caching off).
     pub fn verdicts_resident(&self) -> u64 {
-        self.cache.len()
+        self.options.cache.as_ref().map(|c| c.len()).unwrap_or(0)
     }
 
     /// Resident slice-closure count (0 with the memo disabled).
@@ -471,8 +468,7 @@ impl AnalysisSession {
     ) -> MultiAnalysisRun {
         self.flush();
         self.install(program);
-        let (run, outcomes) = self.drive(factory, None);
-        self.outcomes = Some(outcomes);
+        let run = self.drive(factory, None);
         self.last = InvalidationStats {
             candidates_reanalyzed: run.stages.candidates_reanalyzed,
             ..InvalidationStats::default()
@@ -505,8 +501,7 @@ impl AnalysisSession {
                     .functions
                     .len();
                 let affected = vec![false; n];
-                let (run, outcomes) = self.drive(factory, Some(&affected));
-                self.outcomes = Some(outcomes);
+                let run = self.drive(factory, Some(&affected));
                 self.last = InvalidationStats {
                     facts_retained: n as u64,
                     slices_retained: self.slices_resident(),
@@ -551,10 +546,10 @@ impl AnalysisSession {
                     inv.slices_retained = sc.len();
                 }
                 // Verdicts: evict the recorded keys the edit can reach.
-                if self.options.use_cache {
+                if let Some(cache) = &self.options.cache {
                     let keys = self.prov.verdicts.take_involving(&affected);
-                    inv.verdicts_invalidated = self.cache.remove_keys(&keys);
-                    inv.verdicts_retained = self.cache.len();
+                    inv.verdicts_invalidated = cache.remove_keys(&keys);
+                    inv.verdicts_retained = cache.len();
                 }
                 // Compacted view: GC the affected iso entries, then
                 // rebuild the per-checker regions and transplant the
@@ -573,8 +568,7 @@ impl AnalysisSession {
                 self.pdg = Some(pdg);
                 self.tracker = Some(DirtinessTracker::new(&program));
                 self.program = Some(program);
-                let (mut run, outcomes) = self.drive(factory, Some(&affected));
-                self.outcomes = Some(outcomes);
+                let mut run = self.drive(factory, Some(&affected));
                 inv.candidates_reanalyzed = run.stages.candidates_reanalyzed;
                 run.stages.facts_invalidated = inv.facts_invalidated;
                 run.stages.slices_invalidated = inv.slices_invalidated;
@@ -607,7 +601,9 @@ impl AnalysisSession {
         if let Some(outcomes) = &self.outcomes {
             snapshot::write_outcomes(&mut w, outcomes);
         }
-        snapshot::write_verdicts(&mut w, &self.cache);
+        if let Some(cache) = &self.options.cache {
+            snapshot::write_verdicts(&mut w, cache);
+        }
         if let Some(compact) = &self.compact {
             snapshot::write_iso(&mut w, compact.iso());
         }
@@ -645,8 +641,8 @@ impl AnalysisSession {
             }
             self.compact = Some(compact);
         }
-        if snap.has(snapshot::tag::VERDICTS, 0) {
-            self.cache = snapshot::read_verdicts(&snap)?;
+        if self.options.cache.is_some() && snap.has(snapshot::tag::VERDICTS, 0) {
+            self.options.cache = Some(Arc::new(snapshot::read_verdicts(&snap)?));
         }
         if snap.has(snapshot::tag::OUTCOMES, 0) {
             self.outcomes = Some(snapshot::read_outcomes(&snap)?);
@@ -664,32 +660,28 @@ impl AnalysisSession {
         Ok(snap.bytes_read())
     }
 
-    /// Runs the session driver against the resident state.
+    /// Runs the driver against the resident state: items the edit cannot
+    /// reach (`affected`) replay their recorded outcomes. Keeps the
+    /// refreshed outcomes for the next rescan.
     fn drive(
-        &self,
+        &mut self,
         factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
         affected: Option<&[bool]>,
-    ) -> (MultiAnalysisRun, ItemOutcomes) {
+    ) -> MultiAnalysisRun {
         let program = self.program.as_ref().expect("resident program");
         let pdg = self.pdg.as_ref().expect("resident pdg");
-        let cache = self.options.use_cache.then_some(&self.cache);
-        let params = SessionParams {
-            facts: self.facts.clone(),
-            compact: self.compact.as_ref(),
+        let plan = Plan {
             retained: self.outcomes.as_ref(),
             affected,
+            facts: self.facts.clone(),
+            compact: self.compact.as_ref(),
             prov: Some(&self.prov),
+            ..Plan::default()
         };
-        analyze_multi_streaming_session(
-            program,
-            pdg,
-            &self.set,
-            factory,
-            self.threads,
-            &self.options,
-            cache,
-            params,
-        )
+        let engines = Engines::PerThread(factory, self.threads);
+        let mut run = analyze(program, pdg, &self.set, engines, &self.options, plan);
+        self.outcomes = Some(std::mem::take(&mut run.outcomes));
+        run
     }
 
     fn install(&mut self, program: Program) {
@@ -708,7 +700,9 @@ impl AnalysisSession {
     }
 
     fn flush(&mut self) {
-        self.cache = VerdictCache::new();
+        if self.options.cache.is_some() {
+            self.options.cache = Some(Arc::new(VerdictCache::new()));
+        }
         if self.options.slice_cache.is_some() {
             self.options.slice_cache = Some(Arc::new(SliceCache::new()));
         }
@@ -726,7 +720,7 @@ impl AnalysisSession {
 mod tests {
     use super::*;
     use crate::checkers::Checker;
-    use crate::engine::{analyze_multi_streaming, BugReport, Feasibility};
+    use crate::engine::{BugReport, Feasibility};
     use crate::graph_solver::FusionSolver;
     use fusion_ir::{compile, CompileOptions};
     use fusion_smt::solver::SolverConfig;
@@ -765,6 +759,18 @@ mod tests {
         compile(src, CompileOptions::default()).expect("compile")
     }
 
+    fn cold_scan(src: &str, threads: usize) -> MultiAnalysisRun {
+        let program = compile_src(src);
+        analyze(
+            &program,
+            &Pdg::build(&program),
+            &CheckerSet::single(Checker::null_deref()),
+            Engines::PerThread(&factory, threads),
+            &AnalysisOptions::new(),
+            Plan::default(),
+        )
+    }
+
     #[test]
     fn diff_classifies_edits() {
         let base = compile_src(BASE);
@@ -798,7 +804,7 @@ mod tests {
 
     #[test]
     fn warm_rescan_matches_cold_scan() {
-        for threads in [1usize, 2, 4] {
+        for threads in [1usize, 2, 4, 8] {
             let mut session = AnalysisSession::new(
                 CheckerSet::single(Checker::null_deref()),
                 AnalysisOptions::new(),
@@ -806,14 +812,7 @@ mod tests {
             );
             session.scan(compile_src(BASE), &factory);
             let warm = session.rescan(compile_src(CALLEE_EDIT), &factory);
-            let cold = analyze_multi_streaming(
-                &compile_src(CALLEE_EDIT),
-                &Pdg::build(&compile_src(CALLEE_EDIT)),
-                &CheckerSet::single(Checker::null_deref()),
-                &|| factory(),
-                threads,
-                &AnalysisOptions::new(),
-            );
+            let cold = cold_scan(CALLEE_EDIT, threads);
             assert_eq!(keys(&warm), keys(&cold), "threads = {threads}");
             assert_eq!(warm.candidates, cold.candidates, "threads = {threads}");
             let inv = session.last_invalidation();
@@ -890,14 +889,7 @@ mod tests {
         // And an *edited* rescan after load still evicts exactly what
         // changed, through the restored provenance.
         let warm_edit = restored.rescan(compile_src(CALLEE_EDIT), &factory);
-        let cold_edit = analyze_multi_streaming(
-            &compile_src(CALLEE_EDIT),
-            &Pdg::build(&compile_src(CALLEE_EDIT)),
-            &CheckerSet::single(Checker::null_deref()),
-            &|| factory(),
-            2,
-            &AnalysisOptions::new(),
-        );
+        let cold_edit = cold_scan(CALLEE_EDIT, 2);
         assert_eq!(keys(&warm_edit), keys(&cold_edit));
         std::fs::remove_dir_all(&dir).ok();
     }

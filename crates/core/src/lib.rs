@@ -18,10 +18,11 @@
 //!   the Fig. 9 label deletion);
 //! * [`graph_solver`] — the IR-based SMT solutions: Algorithm 4
 //!   (unoptimized) and Algorithm 6 (the Fusion solver);
-//! * [`engine`] — the drivers (sequential, work-stealing barrier, and
-//!   streaming — each fused over a whole [`checkers::CheckerSet`] in one
-//!   multi-client pass), the [`engine::FeasibilityEngine`] trait the
-//!   baselines also implement, and bug reports;
+//! * [`engine`] — the one driver, [`engine::analyze`]: a fused pass over
+//!   a whole [`checkers::CheckerSet`] whose [`engine::Plan`] runs,
+//!   replays, or masks each `(checker, source)` work item, on one engine
+//!   or a work-stealing pool of them; the [`engine::FeasibilityEngine`]
+//!   trait the baselines also implement; and bug reports;
 //! * [`cache`] — the sharded feasibility-verdict memo cache shared across
 //!   worker engines;
 //! * [`compact`] — the pre-discovery PDG-compaction pass: frontier
@@ -33,8 +34,6 @@
 //!   fingerprints, the dirtiness tracker, eviction provenance, and the
 //!   resident [`incremental::AnalysisSession`] behind `fusion-scan
 //!   --serve`;
-//! * [`stream`] — the bounded channel behind the streaming
-//!   discovery→solve pipeline;
 //! * [`snapshot`] — the versioned, checksummed on-disk container for
 //!   PDG partitions, facts, summaries, verdicts, and outcomes (never a
 //!   path condition);
@@ -48,8 +47,8 @@
 //! ## Quick start
 //!
 //! ```
-//! use fusion::checkers::Checker;
-//! use fusion::engine::{analyze, AnalysisOptions};
+//! use fusion::checkers::{Checker, CheckerSet};
+//! use fusion::engine::{analyze, AnalysisOptions, Engines, Plan};
 //! use fusion::graph_solver::FusionSolver;
 //! use fusion_ir::{compile, CompileOptions};
 //! use fusion_pdg::graph::Pdg;
@@ -62,8 +61,10 @@
 //! )?;
 //! let pdg = Pdg::build(&program);
 //! let mut engine = FusionSolver::new(SolverConfig::default());
-//! let run = analyze(&program, &pdg, &Checker::null_deref(), &mut engine,
-//!                   &AnalysisOptions::new());
+//! let set = CheckerSet::single(Checker::null_deref());
+//! let run = analyze(&program, &pdg, &set, Engines::One(&mut engine),
+//!                   &AnalysisOptions::new(), Plan::default())
+//!     .into_single();
 //! assert_eq!(run.reports.len(), 1); // x > 0 is satisfiable
 //! # Ok::<(), fusion_ir::CompileError>(())
 //! ```
@@ -85,20 +86,15 @@ pub mod report;
 pub mod shard;
 pub mod slice_cache;
 pub mod snapshot;
-pub mod stream;
 
 pub use absint::{AbsVal, ProgramFacts};
 pub use cache::{path_set_key, CacheStats, Key128, VerdictCache};
 pub use checkers::{default_checkers, CheckKind, Checker, CheckerId, CheckerSet};
 pub use compact::{CompactPdg, CompactStats, IsoVerdicts};
 pub use engine::{
-    analyze, analyze_multi, analyze_multi_parallel, analyze_multi_parallel_with_cache,
-    analyze_multi_streaming, analyze_multi_streaming_with_cache, analyze_multi_with_cache,
-    analyze_parallel, analyze_parallel_with_cache, analyze_streaming, analyze_streaming_with_cache,
-    analyze_with_cache, AnalysisOptions, AnalysisRun, BugReport, CheckOutcome, CheckerBreakdown,
-    Feasibility, FeasibilityEngine, MultiAnalysisRun, SolveRecord, StageStats,
+    analyze, AnalysisOptions, AnalysisRun, BugReport, CheckOutcome, CheckerBreakdown, Engines,
+    Feasibility, FeasibilityEngine, ItemOutcomes, MultiAnalysisRun, Plan, SolveRecord, StageStats,
 };
-pub use engine::{analyze_multi_streaming_session, ItemOutcomes, SessionParams};
 pub use graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 pub use incremental::{
     AnalysisSession, DirtinessTracker, EditDiff, InvalidationStats, SessionProvenance,

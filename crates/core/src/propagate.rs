@@ -49,7 +49,7 @@ pub struct PropagateOptions {
     pub max_path_len: usize,
     /// Maximum call-string depth.
     pub max_call_depth: usize,
-    /// Work-item count below which the sharded drivers discover
+    /// Work-item count below which sharded discovery runs
     /// sequentially anyway: for small programs the scoped-thread spawn +
     /// deterministic merge costs more than the DFS itself (the committed
     /// small-scale pipeline bench showed sharded discovery at ~2× the
@@ -399,7 +399,7 @@ pub fn source_vertices(program: &Program, checker: &Checker) -> Vec<Vertex> {
 /// The fused multi-client work list: every `(checker, source)` pair in
 /// canonical order — checkers in [`CheckerSet`] order, then that
 /// checker's sources in [`source_vertices`] order. This is the unit of
-/// work the fused discovery shards (and the streaming producers) steal;
+/// work the fused discovery shards steal;
 /// merging per-item results back in item order keeps the fused pass
 /// byte-deterministic at any shard count.
 pub fn multi_source_vertices(program: &Program, set: &CheckerSet) -> Vec<(CheckerId, Vertex)> {
@@ -412,8 +412,8 @@ pub fn multi_source_vertices(program: &Program, set: &CheckerSet) -> Vec<(Checke
     items
 }
 
-/// One source's worth of discovery — the unit of work the streaming
-/// pipeline's producer shards run and push downstream.
+/// One source's worth of discovery — the unit of work the discovery
+/// shards steal.
 #[derive(Debug)]
 pub struct SourceDiscovery {
     /// Candidates found from this source, in DFS order.
@@ -504,18 +504,17 @@ pub struct Discovery {
     /// One accountant per shard, tracking transient visited-set bytes
     /// (charged while a source is being explored, released after). Fold
     /// these into [`crate::memory::run_accounting`] with
-    /// `add_concurrent` so 1-shard peaks equal the sequential driver's.
+    /// `add_concurrent` so 1-shard peaks equal an unsharded run's.
     pub memory: Vec<MemoryAccountant>,
 }
 
 /// Runs sparse propagation for a whole [`CheckerSet`] in **one fused
 /// pass** across `shards` worker threads. The work list is every
-/// `(checker, source)` pair ([`multi_source_vertices`]); shards steal
-/// items off an atomic cursor and the per-item results are merged back
-/// in canonical `(checker_idx, source_idx)` order, so the output is
-/// **byte-identical to the sequential run** (`shards == 1`) at any
-/// shard count, and the per-checker candidate subsequence is exactly
-/// what a single-checker [`discover_all`] over that checker produces.
+/// `(checker, source)` pair ([`multi_source_vertices`]), discovered by
+/// [`discover_items`], so the output is **byte-identical to the
+/// sequential run** (`shards == 1`) at any shard count, and the
+/// per-checker candidate subsequence is exactly what a single-checker
+/// [`discover_all`] over that checker produces.
 pub fn discover_all_multi(
     program: &Program,
     pdg: &Pdg,
@@ -539,6 +538,48 @@ pub fn discover_all_multi_compact(
     compact: Option<&CompactPdg>,
 ) -> Discovery {
     let items = multi_source_vertices(program, set);
+    let d = discover_items(program, pdg, set, opts, &items, shards, compact);
+    let mut out = Discovery {
+        per_checker_steps: vec![0u64; set.len()],
+        shards: d.shards,
+        memory: d.memory,
+        ..Discovery::default()
+    };
+    for (&(id, _), sd) in items.iter().zip(d.items) {
+        out.steps += sd.steps;
+        out.per_checker_steps[id.0] += sd.steps;
+        out.candidates.extend(sd.candidates);
+    }
+    out
+}
+
+/// The per-item result of [`discover_items`].
+#[derive(Debug, Default)]
+pub struct ItemsDiscovery {
+    /// One discovery per work item, in work-list order.
+    pub items: Vec<SourceDiscovery>,
+    /// How many shards actually ran.
+    pub shards: usize,
+    /// One accountant per shard, tracking transient visited-set bytes
+    /// (charged while a source is being explored, released after).
+    pub memory: Vec<MemoryAccountant>,
+}
+
+/// Discovers a list of `(checker, source)` work items across `shards`
+/// worker threads: shards steal items off an atomic cursor and the
+/// per-item results are merged back in list order, so the output is the
+/// same at any shard count. Below
+/// [`PropagateOptions::sequential_discovery_threshold`] items the list is
+/// discovered on the calling thread.
+pub fn discover_items(
+    program: &Program,
+    pdg: &Pdg,
+    set: &CheckerSet,
+    opts: &PropagateOptions,
+    items: &[(CheckerId, Vertex)],
+    shards: usize,
+    compact: Option<&CompactPdg>,
+) -> ItemsDiscovery {
     let mut shards = shards.clamp(1, items.len().max(1));
     // Small-program fallback: below the work-size threshold the thread
     // spawn + merge overhead dominates the DFS, so discover sequentially
@@ -547,78 +588,39 @@ pub fn discover_all_multi_compact(
     {
         shards = 1;
     }
-    if shards <= 1 {
+    let cursor = AtomicUsize::new(0);
+    let per_item: Mutex<Vec<(usize, SourceDiscovery)>> =
+        Mutex::new(Vec::with_capacity(items.len()));
+    let accountants: Mutex<Vec<MemoryAccountant>> = Mutex::new(Vec::with_capacity(shards));
+    let shard = || {
         let mut acct = MemoryAccountant::new();
-        let mut candidates = Vec::new();
-        let mut steps = 0u64;
-        let mut per_checker_steps = vec![0u64; set.len()];
-        for &(id, src) in &items {
+        let mut local: Vec<(usize, SourceDiscovery)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(id, src)) = items.get(i) else {
+                break;
+            };
             let d = discover_source_for_compact(program, pdg, set.get(id), id, opts, src, compact);
             acct.charge(Category::Graph, d.state_bytes);
             acct.release(Category::Graph, d.state_bytes);
-            steps += d.steps;
-            per_checker_steps[id.0] += d.steps;
-            candidates.extend(d.candidates);
+            local.push((i, d));
         }
-        return Discovery {
-            candidates,
-            steps,
-            per_checker_steps,
-            shards: 1,
-            memory: vec![acct],
-        };
+        per_item.lock().unwrap().extend(local);
+        accountants.lock().unwrap().push(acct);
+    };
+    if shards == 1 {
+        shard();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..shards {
+                scope.spawn(shard);
+            }
+        });
     }
-
-    // Sharded: shards steal (checker, source) items off an atomic
-    // cursor; every item's output is tagged with its index so the merge
-    // is deterministic.
-    let cursor = AtomicUsize::new(0);
-    let per_item: Mutex<Vec<(usize, Vec<Candidate>, u64)>> =
-        Mutex::new(Vec::with_capacity(items.len()));
-    let accountants: Mutex<Vec<MemoryAccountant>> = Mutex::new(Vec::with_capacity(shards));
-    std::thread::scope(|scope| {
-        for _ in 0..shards {
-            scope.spawn(|| {
-                let mut acct = MemoryAccountant::new();
-                let mut local: Vec<(usize, Vec<Candidate>, u64)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let (id, src) = items[i];
-                    let d = discover_source_for_compact(
-                        program,
-                        pdg,
-                        set.get(id),
-                        id,
-                        opts,
-                        src,
-                        compact,
-                    );
-                    acct.charge(Category::Graph, d.state_bytes);
-                    acct.release(Category::Graph, d.state_bytes);
-                    local.push((i, d.candidates, d.steps));
-                }
-                per_item.lock().unwrap().extend(local);
-                accountants.lock().unwrap().push(acct);
-            });
-        }
-    });
     let mut per_item = per_item.into_inner().unwrap();
-    per_item.sort_by_key(|(i, _, _)| *i);
-    let mut candidates = Vec::new();
-    let mut steps = 0u64;
-    let mut per_checker_steps = vec![0u64; set.len()];
-    for (i, cs, st) in per_item {
-        candidates.extend(cs);
-        steps += st;
-        per_checker_steps[items[i].0 .0] += st;
-    }
-    Discovery {
-        candidates,
-        steps,
-        per_checker_steps,
+    per_item.sort_by_key(|(i, _)| *i);
+    ItemsDiscovery {
+        items: per_item.into_iter().map(|(_, d)| d).collect(),
         shards,
         memory: accountants.into_inner().unwrap(),
     }

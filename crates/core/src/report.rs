@@ -110,8 +110,8 @@ pub fn render_multi(program: &Program, run: &MultiAnalysisRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkers::Checker;
-    use crate::engine::{analyze, AnalysisOptions};
+    use crate::checkers::{Checker, CheckerSet};
+    use crate::engine::{analyze, AnalysisOptions, Engines, Plan};
     use crate::graph_solver::FusionSolver;
     use fusion_ir::{compile, CompileOptions};
     use fusion_pdg::graph::Pdg;
@@ -124,11 +124,12 @@ mod tests {
         let run = analyze(
             &program,
             &pdg,
-            &Checker::null_deref(),
-            &mut engine,
+            &CheckerSet::single(Checker::null_deref()),
+            Engines::One(&mut engine),
             &AnalysisOptions::new(),
+            Plan::default(),
         );
-        (program, run.reports)
+        (program, run.into_single().reports)
     }
 
     #[test]
@@ -151,8 +152,6 @@ mod tests {
 
     #[test]
     fn multi_rendering_sections_per_checker() {
-        use crate::checkers::CheckerSet;
-        use crate::engine::analyze_multi;
         let src = "extern fn deref(p);\n\
              extern fn gets(p);\n\
              extern fn fopen(p);\n\
@@ -162,7 +161,14 @@ mod tests {
         let pdg = Pdg::build(&program);
         let mut engine = FusionSolver::new(SolverConfig::default());
         let set = CheckerSet::all();
-        let run = analyze_multi(&program, &pdg, &set, &mut engine, &AnalysisOptions::new());
+        let run = analyze(
+            &program,
+            &pdg,
+            &set,
+            Engines::One(&mut engine),
+            &AnalysisOptions::new(),
+            Plan::default(),
+        );
         let text = render_multi(&program, &run);
         assert!(text.contains("across 3 checker(s)"), "{text}");
         let nd = text.find("== null-deref:").expect("null-deref section");

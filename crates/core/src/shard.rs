@@ -8,25 +8,22 @@
 //! not the program. It imports the absint facts + return summaries of
 //! closure functions it doesn't own (the cross-shard summary interface;
 //! `summaries_imported` counts them), solves **only its owned work
-//! items** (non-owned closure items are masked off with empty retained
-//! records), and exports the recorded outcomes remapped to global
-//! identities.
+//! items** (the [`Plan`] masks non-owned closure items), and exports the
+//! recorded outcomes remapped to global identities.
 //!
 //! The coordinator merges every shard's outcome set and replays it over
-//! the full program with an all-false affected mask — the session
-//! driver's replay path then reassembles the canonical, checker-major
-//! report without a single solver query, which is what makes sharded
+//! the full program with an all-false affected mask — the driver's
+//! replay path then reassembles the canonical, checker-major report
+//! without a single solver query, which is what makes sharded
 //! reports **byte-identical** to the unsharded pipeline at any K
 //! (`tests/shard_determinism.rs` pins this). Outcomes are dependence
 //! structure and verdicts only — no path condition crosses a shard
 //! boundary, upholding §3.2.2 across process boundaries too.
 
-use crate::cache::VerdictCache;
 use crate::checkers::CheckerSet;
-use crate::compact::CompactPdg;
 use crate::engine::{
-    analyze_multi_streaming_session, AnalysisOptions, BugReport, CandVerdict, FeasibilityEngine,
-    ItemOutcomes, ItemRecord, MultiAnalysisRun, SessionParams,
+    analyze, AnalysisOptions, BugReport, CandVerdict, Engines, FeasibilityEngine, ItemOutcomes,
+    ItemRecord, MultiAnalysisRun, Plan,
 };
 use crate::partition::ShardPlan;
 use crate::propagate::multi_source_vertices;
@@ -152,7 +149,6 @@ pub fn run_shard(
     factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
     threads: usize,
     options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
 ) -> Result<ShardOutput, SnapshotError> {
     let owned = plan.owned(s);
     let closure = plan.closure(info, s);
@@ -183,58 +179,32 @@ pub fn run_shard(
         None
     };
 
-    let compact = options
-        .compact
-        .then(|| CompactPdg::build(&sub.program, &pdg, set, &options.propagate));
-
-    // Owned mask over local ids; closure functions the shard doesn't own
-    // get synthetic empty records so their items replay to nothing
-    // instead of running live.
-    let mut affected = vec![false; n_local];
+    // Owned mask over local ids: closure functions the shard doesn't own
+    // are masked, so their items neither run nor leave a record.
+    let mut owned_mask = vec![false; n_local];
     let mut owned_iter = owned.iter().peekable();
     for (local, &global) in closure.iter().enumerate() {
         if owned_iter.peek() == Some(&&global) {
-            affected[local] = true;
+            owned_mask[local] = true;
             owned_iter.next();
         }
     }
-    let mut retained = ItemOutcomes::default();
-    for (id, src) in multi_source_vertices(&sub.program, set) {
-        if !affected[src.func.index()] {
-            retained.insert_record(
-                (id.0, src),
-                ItemRecord {
-                    verdicts: Vec::new(),
-                    steps: 0,
-                },
-            );
-        }
-    }
-
-    let params = SessionParams {
-        facts,
-        compact: compact.as_ref(),
-        retained: Some(&retained),
-        affected: Some(&affected),
-        prov: None,
-    };
-    let (run, outcomes) = analyze_multi_streaming_session(
+    let run = analyze(
         &sub.program,
         &pdg,
         set,
-        factory,
-        threads,
+        Engines::PerThread(factory, threads),
         options,
-        cache,
-        params,
+        Plan {
+            owned: Some(&owned_mask),
+            facts,
+            ..Plan::default()
+        },
     );
 
-    // Export only owned items, remapped to global identities.
+    // Export the owned items' records, remapped to global identities.
     let mut global = ItemOutcomes::default();
-    for (&(checker, src), rec) in outcomes.records() {
-        if !affected[src.func.index()] {
-            continue;
-        }
+    for (&(checker, src), rec) in run.outcomes.records() {
         let verdicts = rec
             .verdicts
             .iter()
@@ -316,10 +286,10 @@ pub fn merge_outcomes(parts: Vec<ItemOutcomes>) -> ItemOutcomes {
     merged
 }
 
-/// Replays a merged outcome set over the full program: every work item
-/// is masked unaffected, so the session driver reassembles the
-/// canonical checker-major report purely from the records — zero
-/// discovery, zero solver queries.
+/// Replays a merged outcome set over the full program: every function
+/// is marked unaffected, so the driver reassembles the canonical
+/// checker-major report purely from the records — zero discovery, zero
+/// solver queries.
 ///
 /// The driver consults the dependence graph only for *live* items, so
 /// when the merge covers every work item (the normal case — shard
@@ -332,7 +302,6 @@ pub fn replay_merged(
     factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
     threads: usize,
     options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
     merged: &ItemOutcomes,
 ) -> MultiAnalysisRun {
     let complete = multi_source_vertices(program, set)
@@ -345,17 +314,18 @@ pub fn replay_merged(
     };
     let pdg = Pdg::build(if complete { &empty } else { program });
     let affected = vec![false; program.functions.len()];
-    let params = SessionParams {
-        facts: None,
-        compact: None,
-        retained: Some(merged),
-        affected: Some(&affected),
-        prov: None,
-    };
-    let (run, _) = analyze_multi_streaming_session(
-        program, &pdg, set, factory, threads, options, cache, params,
-    );
-    run
+    analyze(
+        program,
+        &pdg,
+        set,
+        Engines::PerThread(factory, threads),
+        options,
+        Plan {
+            retained: Some(merged),
+            affected: Some(&affected),
+            ..Plan::default()
+        },
+    )
 }
 
 /// The result of a partitioned scan.
@@ -391,14 +361,12 @@ pub fn scan_snapshot(program: &Program, options: &AnalysisOptions) -> Vec<u8> {
 /// shard sequentially against it, merge, and replay. `snapshot_dir`
 /// routes the container through a file (exercising the on-disk path);
 /// `None` keeps it in memory.
-#[allow(clippy::too_many_arguments)]
 pub fn analyze_sharded(
     program: &Program,
     set: &CheckerSet,
     factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
     threads: usize,
     options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
     k: usize,
     snapshot_dir: Option<&Path>,
 ) -> Result<ShardedRun, SnapshotError> {
@@ -429,16 +397,14 @@ pub fn analyze_sharded(
         if plan.owned(s).is_empty() {
             continue;
         }
-        let out = run_shard(
-            &snap, &info, &plan, s, set, factory, threads, options, cache,
-        )?;
+        let out = run_shard(&snap, &info, &plan, s, set, factory, threads, options)?;
         exported += out.exported;
         imported += out.imported;
         shard_peaks.push(out.peak_memory);
         parts.push(out.outcomes);
     }
     let merged = merge_outcomes(parts);
-    let mut run = replay_merged(program, set, factory, threads, options, cache, &merged);
+    let mut run = replay_merged(program, set, factory, threads, options, &merged);
     run.stages.shards = k as u64;
     run.stages.summaries_exported = exported;
     run.stages.summaries_imported = imported;
@@ -490,23 +456,17 @@ mod tests {
         let set = CheckerSet::new(crate::checkers::default_checkers());
         let options = AnalysisOptions::new();
         let fac = factory();
-        let facts = Arc::new(crate::absint::ProgramFacts::compute(&program));
-        let (base, _) = analyze_multi_streaming_session(
+        let base = analyze(
             &program,
             &pdg,
             &set,
-            &fac,
-            1,
+            Engines::PerThread(&fac, 1),
             &options,
-            None,
-            SessionParams {
-                facts: Some(facts),
-                ..SessionParams::default()
-            },
+            Plan::default(),
         );
         for k in [1usize, 2, 4] {
             let sharded =
-                analyze_sharded(&program, &set, &fac, 1, &options, None, k, None).expect("sharded");
+                analyze_sharded(&program, &set, &fac, 1, &options, k, None).expect("sharded");
             assert_eq!(sharded.run.queries, 0, "replay must not query at k={k}");
             let base_reports: Vec<_> = base.all_reports().collect();
             let got: Vec<_> = sharded.run.all_reports().collect();
@@ -536,8 +496,7 @@ mod tests {
             if plan.owned(s).is_empty() {
                 continue;
             }
-            let out =
-                run_shard(&snap, &info, &plan, s, &set, &fac, 1, &options, None).expect("shard");
+            let out = run_shard(&snap, &info, &plan, s, &set, &fac, 1, &options).expect("shard");
             // Cross the process-boundary transport and back.
             let container = outcomes_container(&out.outcomes);
             let reread = snapshot::read_outcomes(&open_bytes(container).expect("open outcomes"))
@@ -546,7 +505,7 @@ mod tests {
             parts.push(reread);
         }
         let merged = merge_outcomes(parts);
-        let run = replay_merged(&program, &set, &fac, 1, &options, None, &merged);
+        let run = replay_merged(&program, &set, &fac, 1, &options, &merged);
         assert_eq!(run.queries, 0);
         assert!(run.all_reports().count() > 0, "replay reproduces reports");
     }

@@ -102,8 +102,8 @@ pub fn score(
 mod tests {
     use super::*;
     use crate::genprog::{generate, GenConfig};
-    use fusion::checkers::Checker;
-    use fusion::engine::{analyze, AnalysisOptions};
+    use fusion::checkers::{Checker, CheckerSet};
+    use fusion::engine::{analyze, AnalysisOptions, Engines, Plan};
     use fusion::graph_solver::FusionSolver;
     use fusion_ir::{compile_ast, CompileOptions};
     use fusion_pdg::graph::Pdg;
@@ -129,10 +129,12 @@ mod tests {
             let run = analyze(
                 &program,
                 &pdg,
-                &checker,
-                &mut engine,
+                &CheckerSet::single(checker.clone()),
+                Engines::One(&mut engine),
                 &AnalysisOptions::new(),
-            );
+                Plan::default(),
+            )
+            .into_single();
             let s = score(&program, kind, &subject.bugs, &run.reports);
             let feasible = subject
                 .bugs

@@ -10,8 +10,8 @@
 //! sites. Fusion decides it on the dependence graph without cloning `bar`
 //! at all.
 
-use fusion::checkers::Checker;
-use fusion::engine::{analyze, AnalysisOptions};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, Engines, Plan};
 use fusion::graph_solver::FusionSolver;
 use fusion_ir::{compile, CompileOptions};
 use fusion_pdg::graph::Pdg;
@@ -61,10 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = analyze(
         &program,
         &pdg,
-        &Checker::null_deref(),
-        &mut engine,
+        &CheckerSet::single(Checker::null_deref()),
+        Engines::One(&mut engine),
         &AnalysisOptions::new(),
-    );
+        Plan::default(),
+    )
+    .into_single();
 
     println!(
         "\n{} candidate flow(s): {} reported, {} suppressed as infeasible",

@@ -10,8 +10,8 @@
 //! checks on the dependence graph — note how the sanitized path is
 //! suppressed because its guard cannot be true.
 
-use fusion::checkers::Checker;
-use fusion::engine::{analyze, AnalysisOptions};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, Engines, Plan};
 use fusion::graph_solver::FusionSolver;
 use fusion_ir::{compile, CompileOptions};
 use fusion_pdg::graph::Pdg;
@@ -63,10 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let run = analyze(
             &program,
             &pdg,
-            &checker,
-            &mut engine,
+            &CheckerSet::single(checker.clone()),
+            Engines::One(&mut engine),
             &AnalysisOptions::new(),
-        );
+            Plan::default(),
+        )
+        .into_single();
         println!(
             "{}: {} candidate(s) → {} reported, {} suppressed",
             checker.kind,

@@ -9,9 +9,8 @@
 //! `scale` is the fraction of mysql's paper size to generate (default
 //! 0.002 ≈ 4 K statements).
 
-use fusion::checkers::CheckKind;
-use fusion::checkers::Checker;
-use fusion::engine::{analyze, AnalysisOptions, FeasibilityEngine};
+use fusion::checkers::{CheckKind, Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, Engines, FeasibilityEngine, Plan};
 use fusion::graph_solver::FusionSolver;
 use fusion_baselines::PinpointEngine;
 use fusion_ir::{compile_ast, CompileOptions};
@@ -52,18 +51,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fusion_run = analyze(
         &program,
         &pdg,
-        &checker,
-        &mut fusion_engine,
+        &CheckerSet::single(checker.clone()),
+        Engines::One(&mut fusion_engine),
         &AnalysisOptions::new(),
-    );
+        Plan::default(),
+    )
+    .into_single();
     let mut pinpoint_engine = PinpointEngine::new(budget);
     let pinpoint_run = analyze(
         &program,
         &pdg,
-        &checker,
-        &mut pinpoint_engine,
+        &CheckerSet::single(checker.clone()),
+        Engines::One(&mut pinpoint_engine),
         &AnalysisOptions::new(),
-    );
+        Plan::default(),
+    )
+    .into_single();
 
     for run in [&fusion_run, &pinpoint_run] {
         let s = score(&program, CheckKind::NullDeref, &subject.bugs, &run.reports);

@@ -14,17 +14,15 @@
 //!    unoptimized clone-everything graph solver), which never sees the
 //!    abstract facts: its `translate()` pipeline is unseeded by design.
 //! 3. **Refute-only invisibility** — the full fused analysis produces
-//!    *byte-identical* per-checker reports with triage on and off, across
-//!    every driver (sequential, barrier, streaming), thread counts 1–8,
-//!    with and without the verdict cache, with and without incremental
+//!    *byte-identical* per-checker reports with triage on and off, on one
+//!    caller-owned engine and at thread counts 1–8, with and without the
+//!    verdict cache, with and without incremental
 //!    sessions. Triage may only make the scan cheaper, never different.
 
 use fusion::absint::ProgramFacts;
-use fusion::cache::VerdictCache;
 use fusion::checkers::{CheckKind, Checker, CheckerSet};
 use fusion::engine::{
-    analyze_multi_parallel_with_cache, analyze_multi_streaming_with_cache,
-    analyze_multi_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine, MultiAnalysisRun,
+    analyze, AnalysisOptions, Engines, Feasibility, FeasibilityEngine, MultiAnalysisRun, Plan,
 };
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion::propagate::{discover, PropagateOptions};
@@ -222,6 +220,14 @@ fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync 
     }
 }
 
+/// `opts` with a fresh verdict cache (or none), so each run stands alone.
+fn fresh(opts: &AnalysisOptions, use_cache: bool) -> AnalysisOptions {
+    AnalysisOptions {
+        cache: use_cache.then(Default::default),
+        ..opts.clone()
+    }
+}
+
 #[test]
 fn triage_on_equals_triage_off_across_all_drivers() {
     let (program, pdg) = subject();
@@ -241,16 +247,15 @@ fn triage_on_equals_triage_off_across_all_drivers() {
 
             // Reference: sequential with triage OFF — the pure solver
             // pipeline, no abstract facts anywhere.
-            let off_cache = VerdictCache::new();
             let mut engine = FusionSolver::new(SolverConfig::default());
             engine.incremental = incremental;
-            let reference = analyze_multi_with_cache(
+            let reference = analyze(
                 &program,
                 &pdg,
                 &set,
-                &mut engine,
-                &off,
-                use_cache.then_some(&off_cache),
+                Engines::One(&mut engine),
+                &fresh(&off, use_cache),
+                Plan::default(),
             );
             let want = breakdown_keys(&reference);
             assert!(
@@ -263,16 +268,15 @@ fn triage_on_equals_triage_off_across_all_drivers() {
             );
 
             // Sequential with triage ON: identical bytes, nonzero triage.
-            let on_cache = VerdictCache::new();
             let mut engine = FusionSolver::new(SolverConfig::default());
             engine.incremental = incremental;
-            let triaged = analyze_multi_with_cache(
+            let triaged = analyze(
                 &program,
                 &pdg,
                 &set,
-                &mut engine,
-                &on,
-                use_cache.then_some(&on_cache),
+                Engines::One(&mut engine),
+                &fresh(&on, use_cache),
+                Plan::default(),
             );
             assert_eq!(
                 breakdown_keys(&triaged),
@@ -289,40 +293,21 @@ fn triage_on_equals_triage_off_across_all_drivers() {
                 "fully-refuted candidates must skip the solver entirely"
             );
 
-            // Barrier and streaming drivers, triage on and off, every
-            // thread count.
+            // Factory engines, triage on and off, every thread count.
             for threads in 1..=8 {
                 for (label, opts) in [("on", &on), ("off", &off)] {
-                    let c1 = VerdictCache::new();
-                    let barrier = analyze_multi_parallel_with_cache(
+                    let threaded = analyze(
                         &program,
                         &pdg,
                         &set,
-                        &factory(incremental),
-                        threads,
-                        opts,
-                        use_cache.then_some(&c1),
+                        Engines::PerThread(&factory(incremental), threads),
+                        &fresh(opts, use_cache),
+                        Plan::default(),
                     );
                     assert_eq!(
-                        breakdown_keys(&barrier),
+                        breakdown_keys(&threaded),
                         want,
-                        "barrier absint={label} diverged at threads={threads} \
-                         cache={use_cache} incremental={incremental}"
-                    );
-                    let c2 = VerdictCache::new();
-                    let streaming = analyze_multi_streaming_with_cache(
-                        &program,
-                        &pdg,
-                        &set,
-                        &factory(incremental),
-                        threads,
-                        opts,
-                        use_cache.then_some(&c2),
-                    );
-                    assert_eq!(
-                        breakdown_keys(&streaming),
-                        want,
-                        "streaming absint={label} diverged at threads={threads} \
+                        "absint={label} diverged at threads={threads} \
                          cache={use_cache} incremental={incremental}"
                     );
                 }
@@ -335,15 +320,14 @@ fn triage_on_equals_triage_off_across_all_drivers() {
 fn triage_counters_report_avoided_work() {
     let (program, pdg) = subject();
     let set = CheckerSet::all();
-    let cache = VerdictCache::new();
     let mut engine = FusionSolver::new(SolverConfig::default());
-    let run = analyze_multi_with_cache(
+    let run = analyze(
         &program,
         &pdg,
         &set,
-        &mut engine,
+        Engines::One(&mut engine),
         &AnalysisOptions::new(),
-        Some(&cache),
+        Plan::default(),
     );
     // Fully-triaged candidates skip their slice closure; their groups may
     // skip the session.
@@ -354,14 +338,13 @@ fn triage_counters_report_avoided_work() {
     let mut engine_off = FusionSolver::new(SolverConfig::default());
     let mut off = AnalysisOptions::new();
     off.absint = false;
-    let cache_off = VerdictCache::new();
-    let run_off = analyze_multi_with_cache(
+    let run_off = analyze(
         &program,
         &pdg,
         &set,
-        &mut engine_off,
+        Engines::One(&mut engine_off),
         &off,
-        Some(&cache_off),
+        Plan::default(),
     );
     let q_on: usize = run.checkers.iter().map(|b| b.queries).sum();
     let q_off: usize = run_off.checkers.iter().map(|b| b.queries).sum();

@@ -4,8 +4,8 @@
 //! The pre-discovery graph-reduction pass (frontier pruning, summary-
 //! chain collapse, isomorphic-verdict sharing — DESIGN.md "PDG
 //! compaction") removes *work*, never *findings*: for any generated
-//! program, any driver (sequential, barrier, streaming), any thread
-//! count 1–8, with and without the verdict cache, with and without
+//! program, on one caller-owned engine and at any thread count 1–8,
+//! with and without the verdict cache, with and without
 //! incremental sessions, with and without abstract-interpretation
 //! triage, the compacted scan must produce per-checker reports
 //! byte-identical — same sources, sinks, verdicts, witness paths, in
@@ -18,11 +18,9 @@
 //! what lets compacted and uncompacted runs share one verdict-cache
 //! population.
 
-use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
 use fusion::engine::{
-    analyze_multi_parallel_with_cache, analyze_multi_streaming_with_cache,
-    analyze_multi_with_cache, AnalysisOptions, FeasibilityEngine, MultiAnalysisRun,
+    analyze, AnalysisOptions, Engines, FeasibilityEngine, MultiAnalysisRun, Plan,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::{path_set_key, Feasibility, Key128};
@@ -62,7 +60,8 @@ fn breakdown_keys(program: &Program, run: &MultiAnalysisRun) -> Vec<Vec<ReportKe
         .collect()
 }
 
-/// One `(cache, incremental, absint)` configuration and its options.
+/// One `(cache, incremental, absint)` configuration and its options,
+/// with fresh caches.
 fn options(cache: bool, absint: bool, compact: bool) -> AnalysisOptions {
     let base = if cache {
         AnalysisOptions::new()
@@ -90,11 +89,17 @@ fn sequential(
     set: &CheckerSet,
     incremental: bool,
     opts: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
 ) -> MultiAnalysisRun {
     let mut engine = FusionSolver::new(SolverConfig::default());
     engine.incremental = incremental;
-    analyze_multi_with_cache(program, pdg, set, &mut engine, opts, cache)
+    analyze(
+        program,
+        pdg,
+        set,
+        Engines::One(&mut engine),
+        opts,
+        Plan::default(),
+    )
 }
 
 proptest! {
@@ -118,26 +123,22 @@ proptest! {
             .collect();
         let mut wants = Vec::new();
         for &(use_cache, incremental, absint) in &combos {
-            let plain_cache = VerdictCache::new();
             let plain = sequential(
                 &program,
                 &pdg,
                 &set,
                 incremental,
                 &options(use_cache, absint, false),
-                use_cache.then_some(&plain_cache),
             );
             let want = breakdown_keys(&program, &plain);
             prop_assert_eq!(plain.stages.vertices_pruned, 0);
 
-            let on_cache = VerdictCache::new();
             let compacted = sequential(
                 &program,
                 &pdg,
                 &set,
                 incremental,
                 &options(use_cache, absint, true),
-                use_cache.then_some(&on_cache),
             );
             prop_assert_eq!(
                 breakdown_keys(&program, &compacted),
@@ -148,43 +149,23 @@ proptest! {
             wants.push(want);
         }
 
-        // Barrier and streaming, every thread count 1–8, rotating
-        // through the configurations so each driver sees all of them
-        // across the sweep.
+        // Factory engines, every thread count 1–8, rotating through the
+        // configurations so the sweep covers all of them.
         for threads in 1..=8usize {
             let (use_cache, incremental, absint) = combos[threads - 1];
             let want = &wants[threads - 1];
-            let opts = options(use_cache, absint, true);
-            let barrier_cache = VerdictCache::new();
-            let barrier = analyze_multi_parallel_with_cache(
+            let threaded = analyze(
                 &program,
                 &pdg,
                 &set,
-                &factory(incremental),
-                threads,
-                &opts,
-                use_cache.then_some(&barrier_cache),
+                Engines::PerThread(&factory(incremental), threads),
+                &options(use_cache, absint, true),
+                Plan::default(),
             );
             prop_assert_eq!(
-                &breakdown_keys(&program, &barrier),
+                &breakdown_keys(&program, &threaded),
                 want,
-                "barrier diverged at seed {} threads={} cache={} incremental={} absint={}",
-                seed, threads, use_cache, incremental, absint
-            );
-            let stream_cache = VerdictCache::new();
-            let streaming = analyze_multi_streaming_with_cache(
-                &program,
-                &pdg,
-                &set,
-                &factory(incremental),
-                threads,
-                &opts,
-                use_cache.then_some(&stream_cache),
-            );
-            prop_assert_eq!(
-                &breakdown_keys(&program, &streaming),
-                want,
-                "streaming diverged at seed {} threads={} cache={} incremental={} absint={}",
+                "diverged at seed {} threads={} cache={} incremental={} absint={}",
                 seed, threads, use_cache, incremental, absint
             );
         }

@@ -7,8 +7,8 @@
 //! ground truth: a candidate is truly feasible iff some input makes the
 //! trace contain `deref(0)`.
 
-use fusion::checkers::Checker;
-use fusion::engine::{analyze, AnalysisOptions, Feasibility};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, Engines, Feasibility, Plan};
 use fusion::graph_solver::FusionSolver;
 use fusion_ir::interp::eval_core;
 use fusion_ir::{compile, CompileOptions, Program};
@@ -37,10 +37,12 @@ fn static_verdict(program: &Program, pdg: &Pdg) -> Vec<Feasibility> {
     let run = analyze(
         program,
         pdg,
-        &Checker::null_deref(),
-        &mut engine,
+        &CheckerSet::single(Checker::null_deref()),
+        Engines::One(&mut engine),
         &AnalysisOptions::new(),
-    );
+        Plan::default(),
+    )
+    .into_single();
     run.reports.iter().map(|r| r.verdict).collect()
 }
 

@@ -2,9 +2,8 @@
 //! corpus of hand-written programs with known verdicts, and whole runs
 //! must be deterministic.
 
-use fusion::cache::VerdictCache;
-use fusion::checkers::Checker;
-use fusion::engine::{analyze, analyze_parallel_with_cache, AnalysisOptions, FeasibilityEngine};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, Engines, FeasibilityEngine, Plan};
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion_baselines::{ArEngine, PinpointEngine, Tactic};
 use fusion_ir::{compile, CompileOptions};
@@ -129,10 +128,12 @@ fn all_engines_agree_on_corpus() {
             let run = analyze(
                 &program,
                 &pdg,
-                &Checker::null_deref(),
-                engine.as_mut(),
+                &CheckerSet::single(Checker::null_deref()),
+                Engines::One(engine.as_mut()),
                 &AnalysisOptions::new(),
-            );
+                Plan::default(),
+            )
+            .into_single();
             assert_eq!(
                 (run.reports.len(), run.suppressed),
                 (*want_reports, *want_suppressed),
@@ -153,10 +154,12 @@ fn runs_are_deterministic() {
         let run = analyze(
             &program,
             &pdg,
-            &Checker::null_deref(),
-            &mut engine,
+            &CheckerSet::single(Checker::null_deref()),
+            Engines::One(&mut engine),
             &AnalysisOptions::new(),
-        );
+            Plan::default(),
+        )
+        .into_single();
         run.reports
             .iter()
             .map(|r| (r.source, r.sink, r.path.nodes.clone()))
@@ -167,7 +170,7 @@ fn runs_are_deterministic() {
 
 #[test]
 fn cached_parallel_runs_match_sequential_uncached_across_corpus() {
-    // The work-stealing parallel driver with a shared verdict cache must
+    // Work-stealing threaded runs with a shared verdict cache must
     // produce the *identical* report list — same (source, sink) pairs in
     // the same order — as the sequential, cache-free analysis, for every
     // corpus program and every thread count. Steal order and cache hits
@@ -180,10 +183,12 @@ fn cached_parallel_runs_match_sequential_uncached_across_corpus() {
         let seq = analyze(
             &program,
             &pdg,
-            &checker,
-            &mut engine,
+            &CheckerSet::single(checker.clone()),
+            Engines::One(&mut engine),
             &AnalysisOptions::without_cache(),
-        );
+            Plan::default(),
+        )
+        .into_single();
         let seq_keys: Vec<_> = seq
             .reports
             .iter()
@@ -193,16 +198,15 @@ fn cached_parallel_runs_match_sequential_uncached_across_corpus() {
             Box::new(FusionSolver::new(SolverConfig::default()))
         };
         for threads in [1usize, 2, 4, 8] {
-            let cache = VerdictCache::new();
-            let par = analyze_parallel_with_cache(
+            let par = analyze(
                 &program,
                 &pdg,
-                &checker,
-                &factory,
-                threads,
+                &CheckerSet::single(checker.clone()),
+                Engines::PerThread(&factory, threads),
                 &AnalysisOptions::new(),
-                Some(&cache),
-            );
+                Plan::default(),
+            )
+            .into_single();
             let par_keys: Vec<_> = par
                 .reports
                 .iter()
@@ -236,18 +240,22 @@ fn taint_checkers_work_end_to_end() {
     let r23 = analyze(
         &program,
         &pdg,
-        &Checker::cwe23(),
-        &mut engine,
+        &CheckerSet::single(Checker::cwe23()),
+        Engines::One(&mut engine),
         &AnalysisOptions::new(),
-    );
+        Plan::default(),
+    )
+    .into_single();
     assert_eq!((r23.reports.len(), r23.suppressed), (1, 0));
     let r402 = analyze(
         &program,
         &pdg,
-        &Checker::cwe402(),
-        &mut engine,
+        &CheckerSet::single(Checker::cwe402()),
+        Engines::One(&mut engine),
         &AnalysisOptions::new(),
-    );
+        Plan::default(),
+    )
+    .into_single();
     assert_eq!((r402.reports.len(), r402.suppressed), (0, 1));
 }
 
@@ -268,17 +276,21 @@ fn fusion_clones_less_than_algorithm4() {
     let _ = analyze(
         &program,
         &pdg,
-        &checker,
-        &mut fused,
+        &CheckerSet::single(checker.clone()),
+        Engines::One(&mut fused),
         &AnalysisOptions::new(),
-    );
+        Plan::default(),
+    )
+    .into_single();
     let _ = analyze(
         &program,
         &pdg,
-        &checker,
-        &mut unopt,
+        &CheckerSet::single(checker.clone()),
+        Engines::One(&mut unopt),
         &AnalysisOptions::new(),
-    );
+        Plan::default(),
+    )
+    .into_single();
     let fused_instances: usize = 1; // foo only: the whole chain is affine
     assert!(fused.records().iter().all(|_| true));
     let max_unopt = unopt

@@ -2,8 +2,8 @@
 //! all engines, perfect scores against seeded ground truth, and the
 //! memory/caching contracts of the fused design.
 
-use fusion::checkers::{CheckKind, Checker};
-use fusion::engine::{analyze, AnalysisOptions, FeasibilityEngine};
+use fusion::checkers::{CheckKind, Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, Engines, FeasibilityEngine, Plan};
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion::memory::Category;
 use fusion_baselines::PinpointEngine;
@@ -47,10 +47,12 @@ fn three_engines_agree_across_seeds_and_checkers() {
                 let run = analyze(
                     &program,
                     &pdg,
-                    &checker,
-                    e.as_mut(),
+                    &CheckerSet::single(checker.clone()),
+                    Engines::One(e.as_mut()),
                     &AnalysisOptions::new(),
-                );
+                    Plan::default(),
+                )
+                .into_single();
                 let mut keys: Vec<_> = run.reports.iter().map(|r| (r.source, r.sink)).collect();
                 keys.sort();
                 results.push((run.engine, keys, run.suppressed));
@@ -79,10 +81,12 @@ fn perfect_scores_on_all_checkers() {
         let run = analyze(
             &program,
             &pdg,
-            &checker,
-            &mut engine,
+            &CheckerSet::single(checker.clone()),
+            Engines::One(&mut engine),
             &AnalysisOptions::new(),
-        );
+            Plan::default(),
+        )
+        .into_single();
         let s = score(&program, kind, &bugs, &run.reports);
         assert_eq!(s.false_positives, 0, "{kind}");
         assert_eq!(s.missed, 0, "{kind}");
@@ -96,10 +100,12 @@ fn fusion_never_retains_path_conditions() {
     let _ = analyze(
         &program,
         &pdg,
-        &Checker::null_deref(),
-        &mut engine,
+        &CheckerSet::single(Checker::null_deref()),
+        Engines::One(&mut engine),
         &AnalysisOptions::new(),
-    );
+        Plan::default(),
+    )
+    .into_single();
     assert_eq!(engine.memory().current(Category::PathConditions), 0);
     assert_eq!(engine.memory().current(Category::Summaries), 0);
 }
@@ -111,10 +117,12 @@ fn pinpoint_retains_conditions_and_summaries() {
     let run = analyze(
         &program,
         &pdg,
-        &Checker::null_deref(),
-        &mut engine,
+        &CheckerSet::single(Checker::null_deref()),
+        Engines::One(&mut engine),
         &AnalysisOptions::new(),
-    );
+        Plan::default(),
+    )
+    .into_single();
     assert!(run.queries > 0);
     assert!(engine.memory().current(Category::PathConditions) > 0);
     assert!(engine.memory().current(Category::Summaries) > 0);
@@ -137,10 +145,12 @@ fn subject_specs_compile_and_find_seeds() {
         let run = analyze(
             &program,
             &pdg,
-            &Checker::null_deref(),
-            &mut engine,
+            &CheckerSet::single(Checker::null_deref()),
+            Engines::One(&mut engine),
             &AnalysisOptions::new(),
-        );
+            Plan::default(),
+        )
+        .into_single();
         let s = score(&program, CheckKind::NullDeref, &subject.bugs, &run.reports);
         assert_eq!(s.false_positives, 0, "{}", spec.name);
         assert_eq!(s.missed, 0, "{}", spec.name);

@@ -7,13 +7,12 @@
 //! per query. Both are complete decision procedures, so under an ample
 //! budget the *reports must be byte-identical* — same sources, sinks,
 //! verdicts, and witness paths — for every thread count, and identical to
-//! the sequential driver. This is the determinism contract claimed in
+//! a one-engine run. This is the determinism contract claimed in
 //! DESIGN.md ("Incremental sessions") and enforced here for 1–8 threads.
 
-use fusion::checkers::Checker;
+use fusion::checkers::{Checker, CheckerSet};
 use fusion::engine::{
-    analyze_parallel_with_cache, analyze_with_cache, AnalysisOptions, AnalysisRun, Feasibility,
-    FeasibilityEngine,
+    analyze, AnalysisOptions, AnalysisRun, Engines, Feasibility, FeasibilityEngine, Plan,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion_ir::{compile, CompileOptions, Program};
@@ -71,16 +70,25 @@ fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync 
     }
 }
 
+fn run(program: &Program, pdg: &Pdg, checker: &Checker, engines: Engines<'_>) -> AnalysisRun {
+    let set = CheckerSet::single(checker.clone());
+    let opts = AnalysisOptions::without_cache();
+    analyze(program, pdg, &set, engines, &opts, Plan::default()).into_single()
+}
+
 #[test]
 fn parallel_reports_identical_between_incremental_and_cold_1_to_8_threads() {
     let (program, pdg, checker) = subject();
-    let opts = AnalysisOptions::without_cache();
 
     // Sequential cold run is the reference transcript.
     let mut reference_engine = FusionSolver::new(SolverConfig::default());
     reference_engine.incremental = false;
-    let reference =
-        analyze_with_cache(&program, &pdg, &checker, &mut reference_engine, &opts, None);
+    let reference = run(
+        &program,
+        &pdg,
+        &checker,
+        Engines::One(&mut reference_engine),
+    );
     assert!(
         !reference.reports.is_empty(),
         "subject must produce reports for the comparison to mean anything"
@@ -92,23 +100,17 @@ fn parallel_reports_identical_between_incremental_and_cold_1_to_8_threads() {
     let want = keys(&reference);
 
     for threads in 1..=8 {
-        let cold = analyze_parallel_with_cache(
+        let cold = run(
             &program,
             &pdg,
             &checker,
-            &factory(false),
-            threads,
-            &opts,
-            None,
+            Engines::PerThread(&factory(false), threads),
         );
-        let inc = analyze_parallel_with_cache(
+        let inc = run(
             &program,
             &pdg,
             &checker,
-            &factory(true),
-            threads,
-            &opts,
-            None,
+            Engines::PerThread(&factory(true), threads),
         );
         assert_eq!(
             keys(&cold),
@@ -133,16 +135,15 @@ fn parallel_reports_identical_between_incremental_and_cold_1_to_8_threads() {
 
 #[test]
 fn sequential_incremental_matches_sequential_cold() {
-    // The same contract without the parallel driver in the loop: one
+    // The same contract without threads in the loop: one
     // engine instance per mode, sequential analysis, identical transcript.
     let (program, pdg, checker) = subject();
-    let opts = AnalysisOptions::without_cache();
     let mut cold_engine = FusionSolver::new(SolverConfig::default());
     cold_engine.incremental = false;
     let mut inc_engine = FusionSolver::new(SolverConfig::default());
     assert!(inc_engine.incremental, "incremental is the default");
-    let cold = analyze_with_cache(&program, &pdg, &checker, &mut cold_engine, &opts, None);
-    let inc = analyze_with_cache(&program, &pdg, &checker, &mut inc_engine, &opts, None);
+    let cold = run(&program, &pdg, &checker, Engines::One(&mut cold_engine));
+    let inc = run(&program, &pdg, &checker, Engines::One(&mut inc_engine));
     assert_eq!(keys(&cold), keys(&inc));
     assert_eq!(cold.suppressed, inc.suppressed);
     assert_eq!(cold.queries, inc.queries);

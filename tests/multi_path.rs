@@ -6,9 +6,8 @@
 //! a case where each path is individually feasible but their conjunction is
 //! not.
 
-use fusion::cache::VerdictCache;
-use fusion::checkers::Checker;
-use fusion::engine::{analyze_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze, AnalysisOptions, Engines, Feasibility, FeasibilityEngine, Plan};
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion::propagate::{discover, PropagateOptions};
 use fusion_baselines::PinpointEngine;
@@ -119,11 +118,23 @@ fn repeated_analysis_hits_the_verdict_cache() {
     let pdg = Pdg::build(&program);
     let mut checker = Checker::cwe402();
     checker.source_fns.push("user_ip".into());
-    let cache = VerdictCache::new();
     let mut engine = FusionSolver::new(SolverConfig::default());
+    // One options value: both runs share its verdict cache.
     let opts = AnalysisOptions::new();
-    let first = analyze_with_cache(&program, &pdg, &checker, &mut engine, &opts, Some(&cache));
-    let second = analyze_with_cache(&program, &pdg, &checker, &mut engine, &opts, Some(&cache));
+    let set = CheckerSet::single(checker);
+    let mut run = || {
+        analyze(
+            &program,
+            &pdg,
+            &set,
+            Engines::One(&mut engine),
+            &opts,
+            Plan::default(),
+        )
+        .into_single()
+    };
+    let first = run();
+    let second = run();
     assert!(
         first.cache.misses > 0,
         "first run fills the cache: {:?}",

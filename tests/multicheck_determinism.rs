@@ -1,13 +1,12 @@
 //! The fused multi-client pass must be invisible in the output.
 //!
-//! `analyze_multi*` runs every checker of a [`CheckerSet`] in **one**
-//! pass: one discovery traversal fans out over `(checker, source)` work
+//! `analyze` runs every checker of a [`CheckerSet`] in **one** pass: one discovery traversal fans out over `(checker, source)` work
 //! items, sink groups are keyed on the sink function alone so queries
 //! from different checkers share solver sessions and slice closures, and
 //! one verdict cache covers the whole set. None of that fusion may reach
-//! the user: for every thread count (1–8), for every driver (sequential,
-//! barrier, streaming), with and without the verdict cache, with and
-//! without incremental sessions, each checker's reports must be
+//! the user: on one caller-owned engine and for every thread count
+//! (1–8), with and without the verdict cache, with and without
+//! incremental sessions, each checker's reports must be
 //! *byte-identical* — same sources, sinks, verdicts, witness paths, in
 //! the same order — to running that checker alone the old way, one
 //! single-checker pass per checker. This is the contract DESIGN.md
@@ -19,12 +18,9 @@
 //! the client fact), so when two different checkers query the same
 //! dependence paths, the second answers entirely from the cache.
 
-use fusion::cache::VerdictCache;
 use fusion::checkers::{CheckKind, Checker, CheckerSet};
 use fusion::engine::{
-    analyze_multi_parallel_with_cache, analyze_multi_streaming_with_cache,
-    analyze_multi_with_cache, analyze_with_cache, AnalysisOptions, FeasibilityEngine,
-    MultiAnalysisRun,
+    analyze, AnalysisOptions, Engines, FeasibilityEngine, MultiAnalysisRun, Plan,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::Feasibility;
@@ -105,6 +101,14 @@ fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync 
     }
 }
 
+/// `opts` with a fresh verdict cache (or none), so each run stands alone.
+fn fresh(opts: &AnalysisOptions, use_cache: bool) -> AnalysisOptions {
+    AnalysisOptions {
+        cache: use_cache.then(Default::default),
+        ..opts.clone()
+    }
+}
+
 #[test]
 fn fused_equals_per_checker_loop_1_to_8_threads() {
     let (program, pdg) = subject();
@@ -120,13 +124,20 @@ fn fused_equals_per_checker_loop_1_to_8_threads() {
 
             // The old way: one single-checker pass per checker, sharing
             // one verdict cache across the loop (as the CLI used to).
-            let loop_cache = VerdictCache::new();
-            let cache = use_cache.then_some(&loop_cache);
+            let loop_opts = fresh(&opts, use_cache);
             let mut want = Vec::new();
             for checker in set.checkers() {
                 let mut engine = FusionSolver::new(SolverConfig::default());
                 engine.incremental = incremental;
-                let run = analyze_with_cache(&program, &pdg, checker, &mut engine, &opts, cache);
+                let run = analyze(
+                    &program,
+                    &pdg,
+                    &CheckerSet::single(checker.clone()),
+                    Engines::One(&mut engine),
+                    &loop_opts,
+                    Plan::default(),
+                )
+                .into_single();
                 want.push((checker.kind, keys(&run.reports), run.suppressed));
             }
             assert!(
@@ -137,17 +148,16 @@ fn fused_equals_per_checker_loop_1_to_8_threads() {
                     .collect::<Vec<_>>()
             );
 
-            // Fused sequential.
-            let seq_cache = VerdictCache::new();
+            // Fused, one engine.
             let mut engine = FusionSolver::new(SolverConfig::default());
             engine.incremental = incremental;
-            let fused = analyze_multi_with_cache(
+            let fused = analyze(
                 &program,
                 &pdg,
                 &set,
-                &mut engine,
-                &opts,
-                use_cache.then_some(&seq_cache),
+                Engines::One(&mut engine),
+                &fresh(&opts, use_cache),
+                Plan::default(),
             );
             assert_eq!(
                 breakdown_keys(&fused),
@@ -155,38 +165,20 @@ fn fused_equals_per_checker_loop_1_to_8_threads() {
                 "fused sequential diverged at cache={use_cache} incremental={incremental}"
             );
 
-            // Fused barrier and streaming, every thread count.
+            // Fused, factory engines, every thread count.
             for threads in 1..=8 {
-                let barrier_cache = VerdictCache::new();
-                let barrier = analyze_multi_parallel_with_cache(
+                let threaded = analyze(
                     &program,
                     &pdg,
                     &set,
-                    &factory(incremental),
-                    threads,
-                    &opts,
-                    use_cache.then_some(&barrier_cache),
+                    Engines::PerThread(&factory(incremental), threads),
+                    &fresh(&opts, use_cache),
+                    Plan::default(),
                 );
                 assert_eq!(
-                    breakdown_keys(&barrier),
+                    breakdown_keys(&threaded),
                     want,
-                    "fused barrier diverged at threads={threads} cache={use_cache} \
-                     incremental={incremental}"
-                );
-                let stream_cache = VerdictCache::new();
-                let streaming = analyze_multi_streaming_with_cache(
-                    &program,
-                    &pdg,
-                    &set,
-                    &factory(incremental),
-                    threads,
-                    &opts,
-                    use_cache.then_some(&stream_cache),
-                );
-                assert_eq!(
-                    breakdown_keys(&streaming),
-                    want,
-                    "fused streaming diverged at threads={threads} cache={use_cache} \
+                    "fused run diverged at threads={threads} cache={use_cache} \
                      incremental={incremental}"
                 );
             }
@@ -222,15 +214,14 @@ fn cross_checker_queries_share_the_verdict_cache() {
     };
     let set = CheckerSet::new(vec![spec(CheckKind::Cwe23), spec(CheckKind::Cwe402)]);
 
-    let cache = VerdictCache::new();
     let mut engine = FusionSolver::new(SolverConfig::default());
-    let run = analyze_multi_with_cache(
+    let run = analyze(
         &program,
         &pdg,
         &set,
-        &mut engine,
+        Engines::One(&mut engine),
         &AnalysisOptions::new(),
-        Some(&cache),
+        Plan::default(),
     );
 
     let [first, second] = &run.checkers[..] else {

@@ -8,17 +8,15 @@
 //! arbitrary generated programs with arbitrary single-function edits,
 //! the warm rescan's reports must be *byte-identical* — same checkers,
 //! sources, sinks, verdicts, witness paths, in the same order — to a
-//! cold batch scan of the edited program, across the sequential,
-//! barrier, and streaming drivers, thread counts 1–8, and every
-//! cache/absint/compact/incremental/egraph combination exercised here.
+//! cold batch scan of the edited program, on one caller-owned engine and
+//! at thread counts 1–8, for every cache/absint/compact/incremental/egraph
+//! combination exercised here.
 //! And the invalidation must be *strict*: an edit touching nothing
 //! reachable from any source re-solves zero candidates.
 
-use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
 use fusion::engine::{
-    analyze_multi_parallel_with_cache, analyze_multi_streaming_with_cache,
-    analyze_multi_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine, MultiAnalysisRun,
+    analyze, AnalysisOptions, Engines, Feasibility, FeasibilityEngine, MultiAnalysisRun, Plan,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::incremental::AnalysisSession;
@@ -111,7 +109,8 @@ fn compile_src(src: &str) -> Program {
     compile(src, CompileOptions::default()).expect("compile")
 }
 
-/// The three cold drivers over the edited program, with fresh caches.
+/// Cold runs over the edited program — on one caller-owned engine and
+/// on `threads` factory engines — with fresh caches.
 #[allow(clippy::too_many_arguments)]
 fn cold_runs(
     program: &Program,
@@ -125,46 +124,27 @@ fn cold_runs(
 ) -> Vec<(&'static str, MultiAnalysisRun)> {
     let pdg = Pdg::build(program);
     let mut out = Vec::new();
-    let seq_opts = options(use_cache, absint, compact);
-    let seq_cache = VerdictCache::new();
     let mut engine = factory(incremental, egraph)();
     out.push((
-        "sequential",
-        analyze_multi_with_cache(
+        "one engine",
+        analyze(
             program,
             &pdg,
             set,
-            engine.as_mut(),
-            &seq_opts,
-            use_cache.then_some(&seq_cache),
+            Engines::One(engine.as_mut()),
+            &options(use_cache, absint, compact),
+            Plan::default(),
         ),
     ));
-    let barrier_opts = options(use_cache, absint, compact);
-    let barrier_cache = VerdictCache::new();
     out.push((
-        "barrier",
-        analyze_multi_parallel_with_cache(
+        "threaded",
+        analyze(
             program,
             &pdg,
             set,
-            &factory(incremental, egraph),
-            threads,
-            &barrier_opts,
-            use_cache.then_some(&barrier_cache),
-        ),
-    ));
-    let stream_opts = options(use_cache, absint, compact);
-    let stream_cache = VerdictCache::new();
-    out.push((
-        "streaming",
-        analyze_multi_streaming_with_cache(
-            program,
-            &pdg,
-            set,
-            &factory(incremental, egraph),
-            threads,
-            &stream_opts,
-            use_cache.then_some(&stream_cache),
+            Engines::PerThread(&factory(incremental, egraph), threads),
+            &options(use_cache, absint, compact),
+            Plan::default(),
         ),
     ));
     out
@@ -174,7 +154,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random program, random single-function edit: the warm rescan's
-    /// transcript equals every cold driver's over the edited program.
+    /// transcript equals every cold run's over the edited program.
     #[test]
     fn warm_rescan_equals_cold_scan(seed in 0u64..100_000, pick in 0usize..64) {
         let cfg = GenConfig { seed, functions: 10, ..Default::default() };

@@ -13,11 +13,9 @@
 //! coordinators. And the merge must be a *pure replay*: zero solver
 //! queries after the shards hand in their outcomes.
 
-use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
 use fusion::engine::{
-    analyze_multi_streaming_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine,
-    MultiAnalysisRun,
+    analyze, AnalysisOptions, Engines, Feasibility, FeasibilityEngine, MultiAnalysisRun, Plan,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::shard::analyze_sharded;
@@ -99,7 +97,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Random multi-module program: the sharded report equals the
-    /// unsharded streaming report at every K, thread count, and flag
+    /// unsharded report at every K, thread count, and flag
     /// corner — and the merge replays without a single solver query.
     #[test]
     fn sharded_report_equals_unsharded(seed in 0u64..100_000, modules in 2usize..4) {
@@ -118,19 +116,16 @@ proptest! {
         ];
         for (use_cache, absint, compact, incremental, egraph) in configs {
             for threads in [1usize, 2, 4, 8] {
-                let base_opts = options(use_cache, absint, compact);
-                let base_cache = VerdictCache::new();
-                let base = analyze_multi_streaming_with_cache(
-                    &program, &pdg, &set, &factory(incremental, egraph), threads,
-                    &base_opts, use_cache.then_some(&base_cache),
+                let base = analyze(
+                    &program, &pdg, &set,
+                    Engines::PerThread(&factory(incremental, egraph), threads),
+                    &options(use_cache, absint, compact), Plan::default(),
                 );
                 let base_keys = keys(&base);
                 for k in [1usize, 2, 4, 8] {
-                    let opts = options(use_cache, absint, compact);
-                    let sharded_cache = VerdictCache::new();
                     let sharded = analyze_sharded(
                         &program, &set, &factory(incremental, egraph), threads,
-                        &opts, use_cache.then_some(&sharded_cache), k, None,
+                        &options(use_cache, absint, compact), k, None,
                     ).expect("sharded scan");
                     prop_assert_eq!(
                         &base_keys, &keys(&sharded.run),
@@ -167,11 +162,11 @@ proptest! {
         let dir = std::env::temp_dir().join(format!("fusion-shard-det-{}-{seed}", std::process::id()));
         let mem = analyze_sharded(
             &program, &set, &factory(true, true), 2,
-            &options(true, true, true), None, 4, None,
+            &options(true, true, true), 4, None,
         ).expect("in-memory");
         let disk = analyze_sharded(
             &program, &set, &factory(true, true), 2,
-            &options(true, true, true), None, 4, Some(dir.as_path()),
+            &options(true, true, true), 4, Some(dir.as_path()),
         ).expect("on-disk");
         prop_assert_eq!(keys(&mem.run), keys(&disk.run), "seed {}", seed);
         prop_assert!(disk.run.stages.snapshot_bytes_read > 0);

@@ -8,9 +8,8 @@
 //! surface as a position-annotated [`fusion::SnapshotError`], never a
 //! panic, a hang, or a silently wrong program.
 
-use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
-use fusion::engine::{analyze_multi_with_cache, AnalysisOptions, Feasibility, MultiAnalysisRun};
+use fusion::engine::{analyze, AnalysisOptions, Engines, Feasibility, MultiAnalysisRun, Plan};
 use fusion::graph_solver::FusionSolver;
 use fusion::snapshot::{self, open_bytes, SnapshotWriter};
 use fusion::ProgramFacts;
@@ -35,15 +34,14 @@ fn container(program: &Program) -> Vec<u8> {
 fn report(program: &Program) -> Vec<(usize, Feasibility, usize)> {
     let pdg = Pdg::build(program);
     let set = CheckerSet::new(fusion::checkers::default_checkers());
-    let cache = VerdictCache::new();
     let mut engine = FusionSolver::new(SolverConfig::default());
-    let run: MultiAnalysisRun = analyze_multi_with_cache(
+    let run: MultiAnalysisRun = analyze(
         program,
         &pdg,
         &set,
-        &mut engine,
+        Engines::One(&mut engine),
         &AnalysisOptions::new(),
-        Some(&cache),
+        Plan::default(),
     );
     run.checkers
         .iter()

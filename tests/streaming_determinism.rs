@@ -1,21 +1,17 @@
-//! The streaming pipeline must be invisible in the output.
+//! Thread count must be invisible in the output.
 //!
-//! `analyze_streaming_with_cache` overlaps candidate discovery with
-//! feasibility solving: discovery shards push completed sink groups
-//! through a bounded channel into group-stealing solve workers while
-//! later sources are still being explored. None of that scheduling may
-//! reach the user: for every thread count, with and without the verdict
-//! cache, with and without incremental sessions, the reports must be
-//! *byte-identical* — same sources, sinks, verdicts, witness paths, in
-//! the same order — to the barrier pipeline and to the sequential
-//! driver. This is the contract DESIGN.md ("Analysis pipeline") claims
-//! and the CLI's `--stream`/`--no-stream` pair relies on.
+//! The one driver (`fusion::engine::analyze`) discovers work items on
+//! sharded threads and hands whole sink groups to work-stealing solve
+//! workers. None of that scheduling may reach the user: for every thread
+//! count, with and without the verdict cache, with and without
+//! incremental sessions, the reports must be *byte-identical* — same
+//! sources, sinks, verdicts, witness paths, in the same order — to the
+//! run on one caller-owned engine. This is the contract DESIGN.md
+//! ("Analysis pipeline") claims and the CLI's `--threads` relies on.
 
-use fusion::cache::VerdictCache;
-use fusion::checkers::Checker;
+use fusion::checkers::{Checker, CheckerSet};
 use fusion::engine::{
-    analyze_parallel_with_cache, analyze_streaming_with_cache, analyze_with_cache, AnalysisOptions,
-    AnalysisRun, Feasibility, FeasibilityEngine,
+    analyze, AnalysisOptions, AnalysisRun, Engines, Feasibility, FeasibilityEngine, Plan,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion_ir::{compile, CompileOptions, Program};
@@ -24,8 +20,8 @@ use fusion_smt::solver::SolverConfig;
 
 /// Several source functions across several sink functions, mixing
 /// feasible and infeasible flows (`x * x == 3` has no solution modulo a
-/// power of two), so streaming has real groups to overlap and verdicts
-/// are non-trivial.
+/// power of two), so workers have real groups to steal and verdicts are
+/// non-trivial.
 fn subject() -> (Program, Pdg, Checker) {
     let mut src = String::from("extern fn getpass(); extern fn sendmsg(x);\n");
     for i in 0..6 {
@@ -73,110 +69,95 @@ fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync 
     }
 }
 
+fn run(
+    program: &Program,
+    pdg: &Pdg,
+    checker: &Checker,
+    engines: Engines<'_>,
+    opts: &AnalysisOptions,
+) -> AnalysisRun {
+    let set = CheckerSet::single(checker.clone());
+    analyze(program, pdg, &set, engines, opts, Plan::default()).into_single()
+}
+
+/// Fresh caches per run (each configuration must stand alone), or none.
+fn options(use_cache: bool) -> AnalysisOptions {
+    if use_cache {
+        AnalysisOptions::new()
+    } else {
+        AnalysisOptions::without_cache()
+    }
+}
+
 #[test]
-fn streaming_equals_barrier_equals_sequential_1_to_8_threads() {
+fn reports_identical_across_1_to_8_threads() {
     let (program, pdg, checker) = subject();
 
     for use_cache in [false, true] {
         for incremental in [true, false] {
-            let opts = if use_cache {
-                AnalysisOptions::new()
-            } else {
-                AnalysisOptions::without_cache()
-            };
-            // Sequential run is the reference transcript.
-            let seq_cache = VerdictCache::new();
-            let cache = use_cache.then_some(&seq_cache);
+            // The run on one caller-owned engine is the reference
+            // transcript.
             let mut reference_engine = FusionSolver::new(SolverConfig::default());
             reference_engine.incremental = incremental;
-            let reference = analyze_with_cache(
+            let reference = run(
                 &program,
                 &pdg,
                 &checker,
-                &mut reference_engine,
-                &opts,
-                cache,
+                Engines::One(&mut reference_engine),
+                &options(use_cache),
             );
             assert!(!reference.reports.is_empty(), "subject must report");
             assert!(reference.suppressed > 0, "subject must suppress");
             let want = keys(&reference);
 
             for threads in 1..=8 {
-                // Fresh caches per run: each configuration must stand alone.
-                let stream_cache = VerdictCache::new();
-                let streaming = analyze_streaming_with_cache(
+                let threaded = run(
                     &program,
                     &pdg,
                     &checker,
-                    &factory(incremental),
-                    threads,
-                    &opts,
-                    use_cache.then_some(&stream_cache),
-                );
-                let barrier_cache = VerdictCache::new();
-                let barrier = analyze_parallel_with_cache(
-                    &program,
-                    &pdg,
-                    &checker,
-                    &factory(incremental),
-                    threads,
-                    &opts,
-                    use_cache.then_some(&barrier_cache),
+                    Engines::PerThread(&factory(incremental), threads),
+                    &options(use_cache),
                 );
                 assert_eq!(
-                    keys(&streaming),
+                    keys(&threaded),
                     want,
-                    "streaming diverged at threads={threads} cache={use_cache} \
+                    "diverged at threads={threads} cache={use_cache} \
                      incremental={incremental}"
                 );
-                assert_eq!(
-                    keys(&barrier),
-                    want,
-                    "barrier diverged at threads={threads} cache={use_cache} \
-                     incremental={incremental}"
-                );
-                assert_eq!(streaming.suppressed, reference.suppressed);
-                assert_eq!(barrier.suppressed, reference.suppressed);
-                assert_eq!(streaming.candidates, reference.candidates);
+                assert_eq!(threaded.suppressed, reference.suppressed);
+                assert_eq!(threaded.candidates, reference.candidates);
             }
         }
     }
 }
 
 #[test]
-fn streaming_with_one_thread_matches_sequential_memory_peak() {
-    // With one thread there is nothing to overlap: the streaming driver
-    // delegates to the sequential one, so the categorized memory peaks
-    // must be *equal*, not merely close (ISSUE 3, satellite f).
+fn one_thread_matches_the_caller_engine_memory_peak() {
+    // One factory-built engine runs inline, so the categorized memory
+    // peaks must be *equal* to a run on a caller-owned engine, not
+    // merely close.
     let (program, pdg, checker) = subject();
-    let opts = AnalysisOptions::new();
 
-    let seq_cache = VerdictCache::new();
     let mut engine = FusionSolver::new(SolverConfig::default());
-    let seq = analyze_with_cache(
+    let seq = run(
         &program,
         &pdg,
         &checker,
-        &mut engine,
-        &opts,
-        Some(&seq_cache),
+        Engines::One(&mut engine),
+        &AnalysisOptions::new(),
     );
-
-    let stream_cache = VerdictCache::new();
-    let streaming = analyze_streaming_with_cache(
+    let one_thread = run(
         &program,
         &pdg,
         &checker,
-        &factory(true),
-        1,
-        &opts,
-        Some(&stream_cache),
+        Engines::PerThread(&factory(true), 1),
+        &AnalysisOptions::new(),
     );
 
-    assert_eq!(keys(&seq), keys(&streaming));
+    assert_eq!(keys(&seq), keys(&one_thread));
     assert_eq!(
-        seq.peak_memory, streaming.peak_memory,
-        "1-thread streaming must account memory exactly like the sequential driver"
+        seq.peak_memory, one_thread.peak_memory,
+        "one factory engine must account memory exactly like a caller-owned one"
     );
 }
 
@@ -187,16 +168,17 @@ fn slice_memo_is_shared_across_runs() {
     // every query but must answer every closure request from the memo.
     let (program, pdg, checker) = subject();
     let opts = AnalysisOptions::new();
+    let fresh_verdicts = || AnalysisOptions {
+        cache: Some(Default::default()),
+        ..opts.clone()
+    };
 
-    let cold_cache = VerdictCache::new();
-    let cold = analyze_streaming_with_cache(
+    let cold = run(
         &program,
         &pdg,
         &checker,
-        &factory(true),
-        4,
-        &opts,
-        Some(&cold_cache),
+        Engines::PerThread(&factory(true), 4),
+        &fresh_verdicts(),
     );
     assert!(
         cold.stages.slices_computed > 0,
@@ -204,15 +186,12 @@ fn slice_memo_is_shared_across_runs() {
     );
     assert!(cold.stages.discovery_shards >= 1);
 
-    let warm_cache = VerdictCache::new();
-    let warm = analyze_streaming_with_cache(
+    let warm = run(
         &program,
         &pdg,
         &checker,
-        &factory(true),
-        4,
-        &opts,
-        Some(&warm_cache),
+        Engines::PerThread(&factory(true), 4),
+        &fresh_verdicts(),
     );
     assert_eq!(keys(&cold), keys(&warm));
     assert!(warm.queries > 0, "fresh verdict cache must re-query");
@@ -224,4 +203,60 @@ fn slice_memo_is_shared_across_runs() {
     );
     assert!(warm.stages.slices_reused > 0);
     assert!(warm.slice.hits > 0, "slice-cache hits must be observable");
+}
+
+#[test]
+fn binding_budgets_are_thread_invariant() {
+    // Tiny discovery budgets cut sources short and drop alternative
+    // paths; where the cut falls depends only on the item, never on the
+    // schedule, so every thread count must report the same bytes and
+    // take the same discovery steps.
+    let (program, pdg, checker) = subject();
+    let roomy = run(
+        &program,
+        &pdg,
+        &checker,
+        Engines::PerThread(&factory(true), 1),
+        &AnalysisOptions::new(),
+    );
+    for (max_steps_per_source, max_paths_per_pair) in [(2, 1), (4, 1), (6, 2)] {
+        let opts = || {
+            let mut o = AnalysisOptions::new();
+            o.propagate.max_steps_per_source = max_steps_per_source;
+            o.propagate.max_paths_per_pair = max_paths_per_pair;
+            o
+        };
+        let reference = run(
+            &program,
+            &pdg,
+            &checker,
+            Engines::PerThread(&factory(true), 1),
+            &opts(),
+        );
+        let budget = format!("steps={max_steps_per_source} paths={max_paths_per_pair}");
+        assert!(
+            reference.stages.discovery_steps < roomy.stages.discovery_steps,
+            "the budget must bind ({budget})"
+        );
+        for threads in [2, 4, 8] {
+            let threaded = run(
+                &program,
+                &pdg,
+                &checker,
+                Engines::PerThread(&factory(true), threads),
+                &opts(),
+            );
+            assert_eq!(
+                keys(&threaded),
+                keys(&reference),
+                "threads={threads} {budget}"
+            );
+            assert_eq!(threaded.suppressed, reference.suppressed, "{budget}");
+            assert_eq!(threaded.candidates, reference.candidates, "{budget}");
+            assert_eq!(
+                threaded.stages.discovery_steps, reference.stages.discovery_steps,
+                "threads={threads} {budget}"
+            );
+        }
+    }
 }
