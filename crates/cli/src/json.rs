@@ -1,8 +1,15 @@
 //! Minimal JSON support — emission and a small parser — with no external
 //! dependencies. The scanner's machine-readable output is flat and fully
 //! known at compile time, so a hand-rolled emitter is simpler than a
-//! serialization framework; the parser exists so tests can round-trip the
-//! output instead of string-matching it.
+//! serialization framework.
+//!
+//! The parser, [`Value::parse`], decodes every `--serve` request line
+//! (and lets tests round-trip the output instead of string-matching it).
+//! Request lines come from outside the program, so it guarantees two
+//! things on any input: it runs in time linear in the input (each byte
+//! is looked at a bounded number of times; string contents are copied a
+//! run at a time), and it never recurses deeper than [`MAX_DEPTH`] —
+//! deeper nesting is a position-annotated error, not a stack overflow.
 
 use std::fmt::Write as _;
 
@@ -79,18 +86,23 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a position-annotated message on malformed input.
+    /// Returns a position-annotated message on malformed input, and on
+    /// arrays or objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let v = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(v)
     }
 }
+
+/// The deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so without a cap a request line of a few
+/// hundred thousand `[` overflows the stack and aborts the process.
+pub const MAX_DEPTH: usize = 128;
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -107,14 +119,21 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `*pos`, which sits inside `depth` open arrays or
+/// objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
+        None => Err(format!("unexpected end of input at byte {}", *pos)),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -124,7 +143,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -146,10 +165,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -169,7 +188,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             {
                 *pos += 1;
             }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+            // Every byte taken is ASCII, so the slice is on char boundaries.
+            let s = &text[start..*pos];
             s.parse::<f64>()
                 .map(Value::Num)
                 .map_err(|_| format!("invalid number `{s}` at byte {start}"))
@@ -187,23 +207,40 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, St
 }
 
 /// Reads the four hex digits of a `\uXXXX` escape starting at `at`.
-fn parse_hex4(b: &[u8], at: usize) -> Result<u32, String> {
-    let hex = b.get(at..at + 4).ok_or("truncated \\u escape")?;
-    let s = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-    u32::from_str_radix(s, 16).map_err(|_| format!("bad \\u escape `{s}`"))
+fn parse_hex4(text: &str, at: usize) -> Result<u32, String> {
+    if at + 4 > text.len() {
+        return Err(format!("truncated \\u escape at byte {at}"));
+    }
+    // `get` fails when the four bytes split a multi-byte char.
+    let hex = text
+        .get(at..at + 4)
+        .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+    u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}` at byte {at}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Decodes the string literal at `*pos` in one pass: each run of bytes
+/// between delimiters is copied as one slice of `text`. The delimiters
+/// `"` and `\` are ASCII, so every run starts and ends on a char
+/// boundary and is already valid UTF-8.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let b = text.as_bytes();
+    let open = *pos;
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        let run = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        out.push_str(&text[run..*pos]);
         match b.get(*pos) {
-            None => return Err("unterminated string".into()),
+            None => return Err(format!("unterminated string starting at byte {open}")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            // The run stopped at `\`: an escape.
+            _ => {
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -215,7 +252,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let n = parse_hex4(b, *pos + 1)?;
+                        let n = parse_hex4(text, *pos + 1)?;
                         *pos += 4;
                         match n {
                             // High surrogate: must pair with an
@@ -231,7 +268,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                                         *pos - 4
                                     ));
                                 }
-                                let lo = parse_hex4(b, *pos + 3)?;
+                                let lo = parse_hex4(text, *pos + 3)?;
                                 if !(0xDC00..=0xDFFF).contains(&lo) {
                                     return Err(format!(
                                         "high surrogate \\u{n:04x} followed by \\u{lo:04x} \
@@ -256,13 +293,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -344,5 +374,43 @@ mod tests {
         assert!(Value::parse("\"\\uDE00\"").is_err());
         // Two high halves in a row.
         assert!(Value::parse("\"\\uD83D\\uD83D\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_positioned_error() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // Objects count too, and a line far past the cap (which used to
+        // overflow the stack) is an ordinary error.
+        let objs = format!(
+            "{}1{}",
+            "{\"k\": ".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Value::parse(&objs).unwrap_err().contains("nesting deeper"));
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn every_error_names_a_byte_offset() {
+        for bad in [
+            "",
+            "[1, ",
+            "\"abc",
+            "{\"k\": \"v",
+            "\"\\u12",
+            "\"\\uzzzz\"",
+            "\"\\u00é\"",
+            "\"\\uD83D\\u12",
+            "-",
+            "[1,]",
+            "nul",
+            "{1: 2}",
+        ] {
+            let err = Value::parse(bad).unwrap_err();
+            assert!(err.contains("at byte "), "{bad:?}: {err}");
+        }
     }
 }

@@ -40,7 +40,8 @@
 //! Every response is one line: `{"ok": true, ...}` on success with an
 //! `event` echoing the command, or `{"ok": false, "error": "..."}`. A
 //! failed request (parse error, compile error) leaves the resident
-//! state untouched.
+//! state untouched. A malformed or too-deeply-nested request line is
+//! answered with `ok: false` and never ends the loop.
 
 use crate::json::{self, escape};
 use crate::{
@@ -556,5 +557,24 @@ mod tests {
         let hits = resp[5].get("findings").unwrap().as_array().unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].get("source_function").unwrap().as_str(), Some("g"));
+    }
+
+    #[test]
+    fn deeply_nested_line_is_an_error_and_the_loop_keeps_serving() {
+        let opts = Options {
+            serve: true,
+            ..Default::default()
+        };
+        let (code, resp) = drive(&opts, &["[".repeat(200_000), request("scan", Some(BASE))]);
+        assert_eq!(code, 0);
+        assert_eq!(resp.len(), 2);
+        assert_eq!(resp[0].get("ok"), Some(&json::Value::Bool(false)));
+        let err = resp[0].get("error").unwrap().as_str().unwrap();
+        assert!(
+            err.contains("nesting deeper") && err.contains("at byte "),
+            "{err}"
+        );
+        assert_eq!(resp[1].get("ok"), Some(&json::Value::Bool(true)));
+        assert_eq!(resp[1].get("event").unwrap().as_str(), Some("scan"));
     }
 }
