@@ -181,20 +181,56 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, Strin
                 }
             }
         }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            // Every byte taken is ASCII, so the slice is on char boundaries.
-            let s = &text[start..*pos];
-            s.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("invalid number `{s}` at byte {start}"))
+        Some(_) => parse_number(text, pos),
+    }
+}
+
+/// Reads a number in the JSON grammar only:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. Spellings
+/// `f64::from_str` would also take (`+1`, `.5`, `1.`, `01`, `1e`, `inf`)
+/// are errors.
+fn parse_number(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let b = text.as_bytes();
+    let start = *pos;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    if b.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    match b.get(*pos) {
+        Some(b'0') if b.get(*pos + 1).is_some_and(u8::is_ascii_digit) => {
+            return Err(format!("leading zero in number at byte {start}"));
+        }
+        Some(b'0'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(format!("invalid number at byte {start}")),
+    }
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(format!("missing fraction digits at byte {}", *pos));
         }
     }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(format!("missing exponent digits at byte {}", *pos));
+        }
+    }
+    // Every byte taken is ASCII, so the slice is on char boundaries.
+    let s = &text[start..*pos];
+    s.parse::<f64>()
+        .map(Value::Num)
+        .map_err(|_| format!("invalid number `{s}` at byte {start}"))
 }
 
 fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
@@ -206,16 +242,19 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, St
     }
 }
 
-/// Reads the four hex digits of a `\uXXXX` escape starting at `at`.
+/// Reads the four hex digits of a `\uXXXX` escape starting at `at`:
+/// exactly four ASCII hex digits, no sign.
 fn parse_hex4(text: &str, at: usize) -> Result<u32, String> {
-    if at + 4 > text.len() {
+    let Some(hex) = text.as_bytes().get(at..at + 4) else {
         return Err(format!("truncated \\u escape at byte {at}"));
+    };
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return Err(format!("bad \\u escape at byte {at}"));
     }
-    // `get` fails when the four bytes split a multi-byte char.
-    let hex = text
-        .get(at..at + 4)
-        .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
-    u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}` at byte {at}"))
+    // Four ASCII hex digits: one char each, and they fit a u32.
+    Ok(hex.iter().fold(0, |n, &d| {
+        n * 16 + (d as char).to_digit(16).expect("hex digit")
+    }))
 }
 
 /// Decodes the string literal at `*pos` in one pass: each run of bytes
@@ -391,6 +430,51 @@ mod tests {
         );
         assert!(Value::parse(&objs).unwrap_err().contains("nesting deeper"));
         assert!(Value::parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn signed_unicode_escape_is_rejected() {
+        // `from_str_radix` took a leading `+`, so this decoded to "A".
+        let err = Value::parse("\"\\u+041\"").unwrap_err();
+        assert!(err.contains("at byte 3"), "{err}");
+        assert_eq!(Value::parse("\"\\u0041\""), Ok(Value::Str("A".into())));
+    }
+
+    #[test]
+    fn plus_signed_number_is_rejected() {
+        let err = Value::parse("+1").unwrap_err();
+        assert!(err.contains("at byte 0"), "{err}");
+    }
+
+    #[test]
+    fn number_without_integer_part_is_rejected() {
+        let err = Value::parse("[.5]").unwrap_err();
+        assert!(err.contains("at byte 1"), "{err}");
+    }
+
+    #[test]
+    fn number_without_fraction_digits_is_rejected() {
+        let err = Value::parse("1.").unwrap_err();
+        assert!(err.contains("at byte 2"), "{err}");
+        assert!(Value::parse("[1.]").is_err());
+    }
+
+    #[test]
+    fn number_with_leading_zero_is_rejected() {
+        let err = Value::parse("01").unwrap_err();
+        assert!(err.contains("at byte 0"), "{err}");
+        assert!(Value::parse("-01").is_err());
+        assert_eq!(Value::parse("0"), Ok(Value::Num(0.0)));
+        assert_eq!(Value::parse("-0.5"), Ok(Value::Num(-0.5)));
+    }
+
+    #[test]
+    fn number_without_exponent_digits_is_rejected() {
+        let err = Value::parse("1e").unwrap_err();
+        assert!(err.contains("at byte 2"), "{err}");
+        assert!(Value::parse("1e+").is_err());
+        assert_eq!(Value::parse("1e3"), Ok(Value::Num(1000.0)));
+        assert_eq!(Value::parse("2.5E-1"), Ok(Value::Num(0.25)));
     }
 
     #[test]

@@ -900,6 +900,10 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
     let analysis_opts = analysis_options(opts);
     let factory = engine_factory(opts);
     let run: MultiAnalysisRun = if opts.shards > 0 {
+        // Every shard builds the PDG of its own partition; the
+        // whole-program one only fed the report's size fields and `--dot`,
+        // so it is freed before the shards run.
+        drop(pdg);
         let sharded = if opts.shard_workers > 0 {
             shards::analyze_sharded_multiprocess(&program, &set, &factory, opts, &analysis_opts)?
         } else {

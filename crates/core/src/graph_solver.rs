@@ -41,13 +41,14 @@ use fusion_pdg::slice::{
 use fusion_pdg::translate::{
     encode_op, instance_var_tracked, translate, truthy, TranslateOptions, VarOrigins,
 };
+use fusion_smt::fxhash::{FxHashMap, FxHashSet};
 use fusion_smt::preprocess::{
     preprocess_fragment_seeded_ext, refute_by_known_bits_seeded, BitsSeeds,
 };
 use fusion_smt::session::SolveSession;
 use fusion_smt::solver::{deadline_expired, smt_solve, SatResult, SolverConfig};
 use fusion_smt::term::{Sort, TermId, TermKind, TermPool, VarIdx};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -178,7 +179,7 @@ impl FeasibilityEngine for UnoptimizedGraphSolver {
 struct LocalCond {
     formula: TermId,
     /// smt variable → IR variable, for per-instance renaming.
-    var_map: HashMap<VarIdx, VarId>,
+    var_map: FxHashMap<VarIdx, VarId>,
 }
 
 /// Renames a preprocessed local condition into the instance named by `ctx`:
@@ -193,7 +194,7 @@ fn instantiate(
     fid: FuncId,
     origins: &mut VarOrigins,
 ) -> TermId {
-    let mut subst: HashMap<VarIdx, TermId> = HashMap::new();
+    let mut subst: FxHashMap<VarIdx, TermId> = FxHashMap::default();
     for smt_var in pool.free_vars(lc.formula) {
         let target = match lc.var_map.get(&smt_var) {
             Some(&ir_var) => instance_var_tracked(pool, ctx, fid, ir_var, origins),
@@ -207,7 +208,7 @@ fn instantiate(
 /// A cached local condition with its accounting and recency metadata.
 #[derive(Debug, Clone)]
 struct CachedLocal {
-    cond: LocalCond,
+    cond: Arc<LocalCond>,
     /// Bytes charged to [`Category::Cache`] for this entry.
     bytes: u64,
     /// Last-touched tick, for LRU eviction.
@@ -275,15 +276,16 @@ pub struct FusionSolver {
     memory: MemoryAccountant,
     records: Vec<SolveRecord>,
     /// Quick-path summaries, computed once per program (keyed by a cheap
-    /// program identity: function count + size).
-    summaries: Option<(usize, usize, Vec<RetSummary>)>,
+    /// program identity: function count + size). Shared, so a query
+    /// borrows them instead of copying.
+    summaries: Option<(usize, usize, Arc<[RetSummary]>)>,
     /// Persistent pool hosting the cached per-function local conditions.
     /// These are *linear-size graph data* (an alternative encoding of the
     /// PDG slice, preprocessed once per (function, slice) — §3.2.3), not
     /// path conditions: their bytes are charged to [`Category::Cache`]
     /// like the verdict cache's.
     pool: TermPool,
-    local_cache: HashMap<(FuncId, u64), CachedLocal>,
+    local_cache: FxHashMap<(FuncId, u64), CachedLocal>,
     /// Total bytes currently charged for `local_cache` entries.
     local_cache_bytes: u64,
     /// Monotone counter backing the LRU order of `local_cache`.
@@ -296,7 +298,7 @@ pub struct FusionSolver {
     /// in one epoch. Sharing the preprocessing-introduced fresh variables
     /// across queries is sound: each query's constraints on them live
     /// under that query's own root assumption.
-    inst_cache: HashMap<(Vec<CallSiteId>, FuncId, TermId), TermId>,
+    inst_cache: FxHashMap<(Vec<CallSiteId>, FuncId, TermId), TermId>,
     terms_built: u64,
     /// Shared slice-closure memo, attached by the driver
     /// ([`FeasibilityEngine::attach_slice_cache`]). Holds dependence
@@ -335,11 +337,11 @@ impl FusionSolver {
             records: Vec::new(),
             summaries: None,
             pool: TermPool::new(),
-            local_cache: HashMap::new(),
+            local_cache: FxHashMap::default(),
             local_cache_bytes: 0,
             tick: 0,
             session: None,
-            inst_cache: HashMap::new(),
+            inst_cache: FxHashMap::default(),
             terms_built: 0,
             slice_cache: None,
             cand: None,
@@ -382,7 +384,7 @@ impl FusionSolver {
         self.memory.set(Category::SolverState, 0);
     }
 
-    fn summaries_for(&mut self, program: &Program) -> &[RetSummary] {
+    fn summaries_for(&mut self, program: &Program) -> Arc<[RetSummary]> {
         let key = (program.functions.len(), program.size());
         let stale = match &self.summaries {
             Some((n, s, _)) => (*n, *s) != key,
@@ -396,10 +398,10 @@ impl FusionSolver {
                 Some(f) if f.matches(program) => f.ret_summaries(),
                 _ => ret_summaries(program),
             };
-            self.summaries = Some((key.0, key.1, sums));
+            self.summaries = Some((key.0, key.1, sums.into()));
             self.reset_epoch();
         }
-        &self.summaries.as_ref().expect("just set").2
+        Arc::clone(&self.summaries.as_ref().expect("just set").2)
     }
 
     /// Builds (and preprocesses, once per distinct (function, slice) pair)
@@ -413,7 +415,7 @@ impl FusionSolver {
         program: &Program,
         fid: FuncId,
         verts: &std::collections::BTreeSet<VarId>,
-    ) -> LocalCond {
+    ) -> Arc<LocalCond> {
         // FNV-style hash of the vertex set as the cache key.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for v in verts {
@@ -424,13 +426,13 @@ impl FusionSolver {
         let tick = self.tick;
         if let Some(entry) = self.local_cache.get_mut(&(fid, h)) {
             entry.tick = tick;
-            return entry.cond.clone();
+            return Arc::clone(&entry.cond);
         }
         let func = program.func(fid);
         let egraph_cfg = self.per_call.egraph;
         let mut egraph_stats = fusion_smt::egraph::EGraphStats::default();
         let pool = &mut self.pool;
-        let mut var_map: HashMap<VarIdx, VarId> = HashMap::new();
+        let mut var_map: FxHashMap<VarIdx, VarId> = FxHashMap::default();
         let mut local = |pool: &mut TermPool, v: VarId| -> TermId {
             let t = pool.var(&format!("l{}:v{}", fid.0, v.0), Sort::Bv(WORD_BITS));
             if let TermKind::Var(idx) = *pool.kind(t) {
@@ -439,15 +441,15 @@ impl FusionSolver {
             t
         };
         let mut parts = Vec::new();
-        let mut protected: HashSet<VarIdx> = HashSet::new();
-        let protect = |pool: &mut TermPool, protected: &mut HashSet<VarIdx>, t: TermId| {
+        let mut protected: FxHashSet<VarIdx> = FxHashSet::default();
+        let protect = |pool: &mut TermPool, protected: &mut FxHashSet<VarIdx>, t: TermId| {
             if let TermKind::Var(idx) = *pool.kind(t) {
                 protected.insert(idx);
             }
         };
         // Variables that any query's constraints could reference: branch
         // and ite conditions (query-independent rule).
-        let mut cond_vars: HashSet<VarId> = HashSet::new();
+        let mut cond_vars: FxHashSet<VarId> = FxHashSet::default();
         for def in &func.defs {
             match &def.kind {
                 DefKind::Branch { cond } => {
@@ -546,7 +548,7 @@ impl FusionSolver {
         } else {
             raw
         };
-        let lc = LocalCond { formula, var_map };
+        let lc = Arc::new(LocalCond { formula, var_map });
         self.stages.absorb_egraph(&egraph_stats);
         // Bounded, cache-resident data: evict least-recently-used entries
         // past the capacity, then charge this entry's bytes to
@@ -566,7 +568,7 @@ impl FusionSolver {
         self.local_cache.insert(
             (fid, h),
             CachedLocal {
-                cond: lc.clone(),
+                cond: Arc::clone(&lc),
                 bytes,
                 tick,
             },
@@ -693,7 +695,7 @@ impl FeasibilityEngine for FusionSolver {
     ) -> CheckOutcome {
         let start = Instant::now();
         let deadline = self.per_call.deadline_from(start);
-        let summaries: Vec<RetSummary> = self.summaries_for(program).to_vec();
+        let summaries = self.summaries_for(program);
         // Phase 2 dependence closure — memoized and shared (candidate ctx,
         // slice cache); Phase 1 constraints — cheap, recomputed from the
         // concrete queried path, never shared (§3.2.2).
@@ -704,7 +706,7 @@ impl FeasibilityEngine for FusionSolver {
         // Local conditions, computed and preprocessed once per function
         // per program (cache hits across queries).
         let translate_start = Instant::now();
-        let mut locals: HashMap<FuncId, LocalCond> = HashMap::new();
+        let mut locals: FxHashMap<FuncId, Arc<LocalCond>> = FxHashMap::default();
         for (&fid, fs) in closure.iter() {
             let lc = self.local_condition(program, fid, &fs.verts);
             locals.insert(fid, lc);
@@ -716,9 +718,9 @@ impl FeasibilityEngine for FusionSolver {
         let origins = &mut self.origins;
 
         let mut parts: Vec<TermId> = Vec::new();
-        let mut instances: HashSet<(Vec<CallSiteId>, FuncId)> = HashSet::new();
+        let mut instances: FxHashSet<(Vec<CallSiteId>, FuncId)> = FxHashSet::default();
         let mut work: VecDeque<(Vec<CallSiteId>, FuncId)> = VecDeque::new();
-        let schedule = |instances: &mut HashSet<(Vec<CallSiteId>, FuncId)>,
+        let schedule = |instances: &mut FxHashSet<(Vec<CallSiteId>, FuncId)>,
                         work: &mut VecDeque<(Vec<CallSiteId>, FuncId)>,
                         ctx: Vec<CallSiteId>,
                         f: FuncId| {
@@ -775,14 +777,9 @@ impl FeasibilityEngine for FusionSolver {
             // instance formula, which the session then recognizes as an
             // already-blasted subterm.
             let inst_formula = if incremental {
-                match inst_cache.get(&(ctx.clone(), fid, lc.formula)) {
-                    Some(&cached) => cached,
-                    None => {
-                        let f = instantiate(pool, lc, &ctx, fid, origins);
-                        inst_cache.insert((ctx.clone(), fid, lc.formula), f);
-                        f
-                    }
-                }
+                *inst_cache
+                    .entry((ctx.clone(), fid, lc.formula))
+                    .or_insert_with(|| instantiate(pool, lc, &ctx, fid, origins))
             } else {
                 instantiate(pool, lc, &ctx, fid, origins)
             };

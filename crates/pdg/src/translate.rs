@@ -14,10 +14,12 @@
 
 use crate::slice::{Constraint, ConstraintKind, Slice};
 use fusion_ir::ssa::{CallSiteId, DefKind, FuncId, Op, Program, VarId, WORD_BITS};
+use fusion_smt::fxhash::{FxHashMap, FxHashSet};
 use fusion_smt::term::{BvOp, BvPred, Sort, TermId, TermPool};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Cloning exceeded the instance budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,10 +127,9 @@ pub fn truthy(pool: &mut TermPool, v: TermId) -> TermId {
 pub fn instance_var(pool: &mut TermPool, ctx: &[CallSiteId], func: FuncId, var: VarId) -> TermId {
     let mut name = format!("f{}", func.0);
     for s in ctx {
-        name.push('@');
-        name.push_str(&s.0.to_string());
+        let _ = write!(name, "@{}", s.0);
     }
-    name.push_str(&format!(":v{}", var.0));
+    let _ = write!(name, ":v{}", var.0);
     pool.var(&name, Sort::Bv(WORD_BITS))
 }
 
@@ -141,7 +142,7 @@ pub fn instance_var(pool: &mut TermPool, ctx: &[CallSiteId], func: FuncId, var: 
 /// facts on first contact (the §3.2.3 preprocessing discipline).
 #[derive(Debug, Clone, Default)]
 pub struct VarOrigins {
-    map: std::collections::HashMap<fusion_smt::term::VarIdx, (FuncId, VarId)>,
+    map: FxHashMap<fusion_smt::term::VarIdx, (FuncId, VarId)>,
 }
 
 impl VarOrigins {
@@ -206,9 +207,9 @@ pub fn translate(
 ) -> Result<Translation, CloneBlowup> {
     let mut parts: Vec<TermId> = Vec::new();
     let mut equations = 0usize;
-    let mut instances: HashSet<(Vec<CallSiteId>, FuncId)> = HashSet::new();
+    let mut instances: FxHashSet<(Vec<CallSiteId>, FuncId)> = FxHashSet::default();
     let mut work: VecDeque<(Vec<CallSiteId>, FuncId)> = VecDeque::new();
-    let schedule = |instances: &mut HashSet<(Vec<CallSiteId>, FuncId)>,
+    let schedule = |instances: &mut FxHashSet<(Vec<CallSiteId>, FuncId)>,
                     work: &mut VecDeque<(Vec<CallSiteId>, FuncId)>,
                     ctx: Vec<CallSiteId>,
                     f: FuncId| {

@@ -11,9 +11,9 @@
 //! barrel shifters, and borrow-chain comparators.
 
 use crate::cnf::{Cnf, Lit};
+use crate::fxhash::FxHashMap;
 use crate::sat::SatSolver;
 use crate::term::{BvOp, BvPred, Sort, TermId, TermKind, TermPool, VarIdx};
-use std::collections::HashMap;
 
 /// The blasted image of a term: one literal for booleans, a little-endian
 /// literal vector for bit vectors.
@@ -27,8 +27,8 @@ enum Bits {
 /// bit-vector model out of a SAT model.
 #[derive(Debug, Clone, Default)]
 pub struct BlastMap {
-    bool_vars: HashMap<VarIdx, Lit>,
-    bv_vars: HashMap<VarIdx, Vec<Lit>>,
+    bool_vars: FxHashMap<VarIdx, Lit>,
+    bv_vars: FxHashMap<VarIdx, Vec<Lit>>,
 }
 
 impl BlastMap {
@@ -65,7 +65,7 @@ impl BlastMap {
 #[derive(Debug)]
 pub struct SessionBlaster {
     cnf: Cnf,
-    memo: HashMap<TermId, Bits>,
+    memo: FxHashMap<TermId, Bits>,
     map: BlastMap,
     true_lit: Lit,
 }
@@ -85,7 +85,7 @@ impl SessionBlaster {
         cnf.add_unit(true_lit);
         SessionBlaster {
             cnf,
-            memo: HashMap::new(),
+            memo: FxHashMap::default(),
             map: BlastMap::default(),
             true_lit,
         }

@@ -32,9 +32,10 @@
 //! in extraction prefers the lowest node index — no hash-map iteration
 //! order ever influences the result.
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::preprocess::BitsSeeds;
-use crate::term::{mask, BvOp, BvPred, Sort, TermId, TermKind, TermPool, Value, VarIdx};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use crate::term::{mask, BvOp, BvPred, Children, Sort, TermId, TermKind, TermPool, Value, VarIdx};
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
 // Configuration and statistics
@@ -209,17 +210,21 @@ pub enum ENode {
 
 impl ENode {
     /// Child classes, in stored order.
-    pub fn children(&self) -> Vec<ClassId> {
-        match self {
-            ENode::BoolConst(_) | ENode::BvConst { .. } | ENode::Var(_) => Vec::new(),
-            ENode::Not(x) => vec![*x],
-            ENode::And(xs) | ENode::Or(xs) => xs.clone(),
-            ENode::Eq(a, b) | ENode::Bv(_, a, b) | ENode::Pred(_, a, b) => vec![*a, *b],
+    pub fn children(&self) -> Children<'_, ClassId> {
+        match *self {
+            ENode::BoolConst(_) | ENode::BvConst { .. } | ENode::Var(_) => {
+                Children::fixed([ClassId(0); 3], 0)
+            }
+            ENode::Not(x) => Children::fixed([x; 3], 1),
+            ENode::And(ref xs) | ENode::Or(ref xs) => Children::Nary(xs.iter()),
+            ENode::Eq(a, b) | ENode::Bv(_, a, b) | ENode::Pred(_, a, b) => {
+                Children::fixed([a, b, b], 2)
+            }
             ENode::Ite {
                 cond,
                 then_t,
                 else_t,
-            } => vec![*cond, *then_t, *else_t],
+            } => Children::fixed([cond, then_t, else_t], 3),
         }
     }
 }
@@ -273,7 +278,7 @@ struct EClass {
 pub struct EGraph {
     parent: Vec<u32>,
     classes: Vec<EClass>,
-    memo: HashMap<ENode, ClassId>,
+    memo: FxHashMap<ENode, ClassId>,
     /// Classes merged since the last completed rebuild sweep.
     dirty: Vec<ClassId>,
     n_nodes: usize,
@@ -289,7 +294,7 @@ impl EGraph {
         EGraph {
             parent: Vec::new(),
             classes: Vec::new(),
-            memo: HashMap::new(),
+            memo: FxHashMap::default(),
             dirty: Vec::new(),
             n_nodes: 0,
             rebuild_sweeps: 0,
@@ -602,7 +607,8 @@ impl EGraph {
             for &cid in &ids {
                 let nodes = std::mem::take(&mut self.classes[cid.index()].nodes);
                 let mut kept: Vec<ENode> = Vec::with_capacity(nodes.len());
-                let mut seen: HashSet<ENode> = HashSet::with_capacity(nodes.len());
+                let mut seen: FxHashSet<ENode> =
+                    FxHashSet::with_capacity_and_hasher(nodes.len(), Default::default());
                 for n in nodes {
                     let n = self.canon_node(n);
                     if let Some(target) = Self::identity_of(&n) {
@@ -655,7 +661,7 @@ impl EGraph {
 
     /// Populates the e-graph from a pool term, returning its class.
     pub fn add_term(&mut self, pool: &TermPool, t: TermId) -> ClassId {
-        let mut map: HashMap<TermId, ClassId> = HashMap::new();
+        let mut map: FxHashMap<TermId, ClassId> = FxHashMap::default();
         // Iterative postorder over the DAG.
         let mut stack: Vec<(TermId, bool)> = vec![(t, false)];
         while let Some((u, expanded)) = stack.pop() {
@@ -1030,7 +1036,7 @@ impl EGraph {
         const MAX_FLAT: usize = 24;
         let mut leaves: Vec<ClassId> = Vec::new();
         let mut frontier: Vec<ClassId> = xs.iter().map(|&x| self.find(x)).collect();
-        let mut guard: HashSet<ClassId> = HashSet::new();
+        let mut guard: FxHashSet<ClassId> = FxHashSet::default();
         guard.insert(c);
         let mut overflow = false;
         while let Some(x) = frontier.pop() {
@@ -1337,7 +1343,7 @@ impl EGraph {
         let mut leaves: Vec<ClassId> = Vec::new();
         let mut acc: u64 = identity;
         let mut frontier: Vec<ClassId> = vec![c];
-        let mut guard: HashSet<ClassId> = HashSet::new();
+        let mut guard: FxHashSet<ClassId> = FxHashSet::default();
         let mut expanded_any = false;
         while let Some(x) = frontier.pop() {
             if leaves.len() > MAX_LEAVES {
@@ -1495,7 +1501,7 @@ fn term_cost(n: &TermKind) -> u64 {
 
 /// Sum of [`term_cost`] over the distinct nodes of `t`'s DAG (iterative).
 fn dag_cost(pool: &TermPool, t: TermId) -> u64 {
-    let mut seen = HashSet::new();
+    let mut seen = FxHashSet::default();
     let mut stack = vec![t];
     let mut total = 0u64;
     while let Some(u) = stack.pop() {
@@ -1706,7 +1712,7 @@ impl Extractor for GlobalGreedyDagExtractor {
         // Seed with leaves.
         for &c in &ids {
             for (i, node) in eg.classes[c.index()].nodes.iter().enumerate() {
-                if node.children().is_empty() {
+                if node.children().len() == 0 {
                     let mut reach = BTreeSet::new();
                     reach.insert(c);
                     let cand = (i, reach, node_cost(node));
@@ -1792,7 +1798,7 @@ pub fn lower(
     pool: &mut TermPool,
 ) -> Option<TermId> {
     let root = eg.find(root);
-    let mut done: HashMap<ClassId, TermId> = HashMap::new();
+    let mut done: FxHashMap<ClassId, TermId> = FxHashMap::default();
     let mut stack: Vec<ClassId> = vec![root];
     while let Some(&c) = stack.last() {
         let c = eg.find(c);
@@ -1930,6 +1936,7 @@ pub fn egraph_simplify(
 mod tests {
     use super::*;
     use crate::term::BvPred;
+    use std::collections::HashMap;
 
     fn cfg() -> EGraphConfig {
         EGraphConfig {

@@ -38,6 +38,7 @@ pub mod bitblast;
 pub mod cnf;
 pub mod dimacs;
 pub mod egraph;
+pub mod fxhash;
 pub mod preprocess;
 pub mod sat;
 pub mod session;

@@ -198,9 +198,7 @@ pub fn to_smtlib2(pool: &TermPool, formula: TermId) -> String {
             continue;
         }
         walk.push((t, true));
-        let mut kids = pool.children(t);
-        kids.reverse();
-        for c in kids {
+        for c in pool.children(t).rev() {
             if !seen2.contains(&c) {
                 walk.push((c, false));
             }

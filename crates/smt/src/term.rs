@@ -11,8 +11,11 @@
 //! is the honest "condition size" metric the paper's complexity arguments
 //! are about; see [`TermPool::dag_size`] and [`TermPool::tree_size`].
 
+use crate::fxhash::FxHashMap;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// The sort of a term: boolean or a fixed-width bit vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -271,14 +274,90 @@ struct VarInfo {
     sort: Sort,
 }
 
+/// Visited marks of the `&self` DAG walks ([`TermPool::visit_dag`]): one
+/// generation stamp per node, so starting a walk bumps a counter instead of
+/// allocating and clearing a set.
+#[derive(Debug, Default)]
+struct Marks {
+    stamp: Vec<u32>,
+    generation: u32,
+    stack: Vec<TermId>,
+}
+
+/// [`Marks`] behind a `Cell`: a walk takes them out and puts them back,
+/// so walks need only `&self`. A cloned pool starts with fresh marks.
+#[derive(Default)]
+struct MarksCell(Cell<Marks>);
+
+impl Clone for MarksCell {
+    fn clone(&self) -> Self {
+        MarksCell::default()
+    }
+}
+
+impl fmt::Debug for MarksCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("MarksCell")
+    }
+}
+
+/// The children of one node (a term's, or an e-node's), in a fixed
+/// order, without allocating.
+#[derive(Debug, Clone)]
+pub enum Children<'a, T> {
+    /// The operands of an `And`/`Or`.
+    Nary(std::slice::Iter<'a, T>),
+    /// Up to three fixed operands.
+    Fixed(std::iter::Take<std::array::IntoIter<T, 3>>),
+}
+
+impl<T: Copy> Children<'_, T> {
+    /// The first `n` of `ids` (`n <= 3`).
+    pub(crate) fn fixed(ids: [T; 3], n: usize) -> Self {
+        Children::Fixed(ids.into_iter().take(n))
+    }
+}
+
+impl<T: Copy> Iterator for Children<'_, T> {
+    type Item = T;
+
+    #[inline]
+    fn next(&mut self) -> Option<T> {
+        match self {
+            Children::Nary(it) => it.next().copied(),
+            Children::Fixed(it) => it.next(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Children::Nary(it) => it.size_hint(),
+            Children::Fixed(it) => it.size_hint(),
+        }
+    }
+}
+
+impl<T: Copy> DoubleEndedIterator for Children<'_, T> {
+    fn next_back(&mut self) -> Option<T> {
+        match self {
+            Children::Nary(it) => it.next_back().copied(),
+            Children::Fixed(it) => it.next_back(),
+        }
+    }
+}
+
+impl<T: Copy> ExactSizeIterator for Children<'_, T> {}
+
 /// The hash-consing arena for terms.
 #[derive(Debug, Default, Clone)]
 pub struct TermPool {
     kinds: Vec<TermKind>,
     sorts: Vec<Sort>,
-    consing: HashMap<TermKind, TermId>,
+    consing: FxHashMap<TermKind, TermId>,
     vars: Vec<VarInfo>,
-    var_by_name: HashMap<String, VarIdx>,
+    var_by_name: FxHashMap<String, VarIdx>,
+    marks: MarksCell,
 }
 
 impl TermPool {
@@ -383,6 +462,12 @@ impl TermPool {
             sort,
         });
         self.var_by_name.insert(name.to_owned(), v);
+        self.intern(TermKind::Var(v), sort)
+    }
+
+    /// The term of an already declared variable.
+    pub(crate) fn var_term(&mut self, v: VarIdx) -> TermId {
+        let sort = self.var_sort(v);
         self.intern(TermKind::Var(v), sort)
     }
 
@@ -747,16 +832,16 @@ impl TermPool {
 
     /// Evaluates `t` under an assignment of values to variables. Variables
     /// missing from `env` default to 0/false.
-    pub fn eval(&self, t: TermId, env: &HashMap<VarIdx, u64>) -> Value {
-        let mut memo: HashMap<TermId, Value> = HashMap::new();
+    pub fn eval<S: BuildHasher>(&self, t: TermId, env: &HashMap<VarIdx, u64, S>) -> Value {
+        let mut memo: FxHashMap<TermId, Value> = FxHashMap::default();
         self.eval_memo(t, env, &mut memo)
     }
 
-    fn eval_memo(
+    fn eval_memo<S: BuildHasher>(
         &self,
         t: TermId,
-        env: &HashMap<VarIdx, u64>,
-        memo: &mut HashMap<TermId, Value>,
+        env: &HashMap<VarIdx, u64, S>,
+        memo: &mut FxHashMap<TermId, Value>,
     ) -> Value {
         if let Some(&v) = memo.get(&t) {
             return v;
@@ -773,11 +858,9 @@ impl TermPool {
             }
             TermKind::Not(x) => Value::Bool(!self.eval_memo(*x, env, memo).as_bool()),
             TermKind::And(xs) => {
-                let xs = xs.clone();
                 Value::Bool(xs.iter().all(|&x| self.eval_memo(x, env, memo).as_bool()))
             }
             TermKind::Or(xs) => {
-                let xs = xs.clone();
                 Value::Bool(xs.iter().any(|&x| self.eval_memo(x, env, memo).as_bool()))
             }
             TermKind::Eq(a, b) => {
@@ -818,42 +901,67 @@ impl TermPool {
     }
 
     /// The children of a term, in a fixed order.
-    pub fn children(&self, t: TermId) -> Vec<TermId> {
-        match self.kind(t) {
-            TermKind::BoolConst(_) | TermKind::BvConst { .. } | TermKind::Var(_) => vec![],
-            TermKind::Not(x) => vec![*x],
-            TermKind::And(xs) | TermKind::Or(xs) => xs.clone(),
-            TermKind::Eq(a, b) => vec![*a, *b],
+    pub fn children(&self, t: TermId) -> Children<'_, TermId> {
+        let fixed = Children::fixed;
+        match *self.kind(t) {
+            TermKind::BoolConst(_) | TermKind::BvConst { .. } | TermKind::Var(_) => {
+                fixed([t; 3], 0)
+            }
+            TermKind::Not(x) => fixed([x; 3], 1),
+            TermKind::And(ref xs) | TermKind::Or(ref xs) => Children::Nary(xs.iter()),
+            TermKind::Eq(a, b) | TermKind::Bv(_, a, b) | TermKind::Pred(_, a, b) => {
+                fixed([a, b, b], 2)
+            }
             TermKind::Ite {
                 cond,
                 then_t,
                 else_t,
-            } => vec![*cond, *then_t, *else_t],
-            TermKind::Bv(_, a, b) | TermKind::Pred(_, a, b) => vec![*a, *b],
+            } => fixed([cond, then_t, else_t], 3),
         }
+    }
+
+    /// Calls `visit` once on every distinct node reachable from `t`
+    /// (depth-first, parents before children).
+    pub(crate) fn visit_dag(&self, t: TermId, mut visit: impl FnMut(TermId)) {
+        let mut m = self.marks.0.take();
+        m.generation = m.generation.wrapping_add(1);
+        if m.generation == 0 {
+            m.stamp.fill(0);
+            m.generation = 1;
+        }
+        if m.stamp.len() < self.kinds.len() {
+            m.stamp.resize(self.kinds.len(), 0);
+        }
+        m.stack.clear();
+        m.stack.push(t);
+        while let Some(x) = m.stack.pop() {
+            let s = &mut m.stamp[x.index()];
+            if *s == m.generation {
+                continue;
+            }
+            *s = m.generation;
+            visit(x);
+            m.stack.extend(self.children(x));
+        }
+        self.marks.0.set(m);
     }
 
     /// Number of distinct nodes reachable from `t` (shared sub-DAG size).
     pub fn dag_size(&self, t: TermId) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![t];
-        while let Some(x) = stack.pop() {
-            if seen.insert(x) {
-                stack.extend(self.children(x));
-            }
-        }
-        seen.len()
+        let mut n = 0;
+        self.visit_dag(t, |_| n += 1);
+        n
     }
 
     /// Size of the fully expanded syntax tree of `t` — the "condition size"
     /// a non-sharing representation (the conventional design's cloned
     /// formulas) would pay. Saturates at `u64::MAX`.
     pub fn tree_size(&self, t: TermId) -> u64 {
-        let mut memo: HashMap<TermId, u64> = HashMap::new();
+        let mut memo: FxHashMap<TermId, u64> = FxHashMap::default();
         self.tree_size_memo(t, &mut memo)
     }
 
-    fn tree_size_memo(&self, t: TermId, memo: &mut HashMap<TermId, u64>) -> u64 {
+    fn tree_size_memo(&self, t: TermId, memo: &mut FxHashMap<TermId, u64>) -> u64 {
         if let Some(&s) = memo.get(&t) {
             return s;
         }
@@ -865,66 +973,52 @@ impl TermPool {
         total
     }
 
-    /// Free variables of `t` (sorted, deduplicated).
+    /// Free variables of `t` (sorted, deduplicated: each variable is one
+    /// hash-consed node, visited once).
     pub fn free_vars(&self, t: TermId) -> Vec<VarIdx> {
-        let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        let mut stack = vec![t];
-        while let Some(x) = stack.pop() {
-            if !seen.insert(x) {
-                continue;
+        self.visit_dag(t, |x| {
+            if let TermKind::Var(v) = self.kinds[x.index()] {
+                out.push(v);
             }
-            if let TermKind::Var(v) = self.kind(x) {
-                out.push(*v);
-            }
-            stack.extend(self.children(x));
-        }
+        });
         out.sort_unstable();
-        out.dedup();
         out
     }
 
-    /// Rebuilds `t` with variables substituted per `map` (variables absent
-    /// from the map are kept). Simplifying constructors re-run, so the
-    /// result may be smaller than the input.
-    pub fn substitute(&mut self, t: TermId, map: &HashMap<VarIdx, TermId>) -> TermId {
-        let mut memo: HashMap<TermId, TermId> = HashMap::new();
-        self.substitute_memo(t, map, &mut memo)
-    }
-
-    fn substitute_memo(
+    /// Rebuilds `t` from its children mapped through `f`, re-running the
+    /// simplifying constructor of `t`'s node. Leaves are returned as is.
+    /// This is the one rebuild step every bottom-up rewrite shares.
+    pub(crate) fn map_children(
         &mut self,
         t: TermId,
-        map: &HashMap<VarIdx, TermId>,
-        memo: &mut HashMap<TermId, TermId>,
+        mut f: impl FnMut(&mut TermPool, TermId) -> TermId,
     ) -> TermId {
-        if let Some(&r) = memo.get(&t) {
-            return r;
-        }
-        let r = match self.kind(t).clone() {
-            TermKind::Var(v) => map.get(&v).copied().unwrap_or(t),
-            TermKind::BoolConst(_) | TermKind::BvConst { .. } => t,
+        match *self.kind(t) {
+            TermKind::BoolConst(_) | TermKind::BvConst { .. } | TermKind::Var(_) => t,
             TermKind::Not(x) => {
-                let x = self.substitute_memo(x, map, memo);
+                let x = f(self, x);
                 self.not(x)
             }
-            TermKind::And(xs) => {
-                let xs: Vec<TermId> = xs
-                    .iter()
-                    .map(|&x| self.substitute_memo(x, map, memo))
-                    .collect();
-                self.and(&xs)
-            }
-            TermKind::Or(xs) => {
-                let xs: Vec<TermId> = xs
-                    .iter()
-                    .map(|&x| self.substitute_memo(x, map, memo))
-                    .collect();
-                self.or(&xs)
+            TermKind::And(ref xs) | TermKind::Or(ref xs) => {
+                let n = xs.len();
+                let mut out = Vec::with_capacity(n);
+                for i in 0..n {
+                    let (TermKind::And(xs) | TermKind::Or(xs)) = self.kind(t) else {
+                        unreachable!("n-ary node")
+                    };
+                    let x = xs[i];
+                    out.push(f(self, x));
+                }
+                if matches!(self.kind(t), TermKind::And(_)) {
+                    self.and(&out)
+                } else {
+                    self.or(&out)
+                }
             }
             TermKind::Eq(a, b) => {
-                let a = self.substitute_memo(a, map, memo);
-                let b = self.substitute_memo(b, map, memo);
+                let a = f(self, a);
+                let b = f(self, b);
                 self.eq(a, b)
             }
             TermKind::Ite {
@@ -932,21 +1026,69 @@ impl TermPool {
                 then_t,
                 else_t,
             } => {
-                let c = self.substitute_memo(cond, map, memo);
-                let tt = self.substitute_memo(then_t, map, memo);
-                let ee = self.substitute_memo(else_t, map, memo);
+                let c = f(self, cond);
+                let tt = f(self, then_t);
+                let ee = f(self, else_t);
                 self.ite(c, tt, ee)
             }
             TermKind::Bv(op, a, b) => {
-                let a = self.substitute_memo(a, map, memo);
-                let b = self.substitute_memo(b, map, memo);
+                let a = f(self, a);
+                let b = f(self, b);
                 self.bv(op, a, b)
             }
             TermKind::Pred(p, a, b) => {
-                let a = self.substitute_memo(a, map, memo);
-                let b = self.substitute_memo(b, map, memo);
+                let a = f(self, a);
+                let b = f(self, b);
                 self.pred(p, a, b)
             }
+        }
+    }
+
+    /// Rebuilds `t` with variables substituted per `map` (variables absent
+    /// from the map are kept). Simplifying constructors re-run, so the
+    /// result may be smaller than the input.
+    pub fn substitute<S: BuildHasher>(
+        &mut self,
+        t: TermId,
+        map: &HashMap<VarIdx, TermId, S>,
+    ) -> TermId {
+        let mut memo: FxHashMap<TermId, TermId> = FxHashMap::default();
+        self.substitute_memo(t, map, false, &mut memo)
+    }
+
+    /// Like [`TermPool::substitute`], but a mapped variable is replaced by
+    /// its right-hand side *with the map applied to it as well*, so chains
+    /// `x ↦ f(y), y ↦ g(z)` resolve in one pass to `f(g(z))`. Every
+    /// right-hand side is rewritten once, shared through the memo.
+    ///
+    /// The map's dependency graph (`x → y` when `y` is free in `map[x]`)
+    /// must be acyclic; callers establish this with an occurs check.
+    pub(crate) fn substitute_acyclic<S: BuildHasher>(
+        &mut self,
+        t: TermId,
+        map: &HashMap<VarIdx, TermId, S>,
+    ) -> TermId {
+        let mut memo: FxHashMap<TermId, TermId> = FxHashMap::default();
+        self.substitute_memo(t, map, true, &mut memo)
+    }
+
+    fn substitute_memo<S: BuildHasher>(
+        &mut self,
+        t: TermId,
+        map: &HashMap<VarIdx, TermId, S>,
+        resolve: bool,
+        memo: &mut FxHashMap<TermId, TermId>,
+    ) -> TermId {
+        if let Some(&r) = memo.get(&t) {
+            return r;
+        }
+        let r = match *self.kind(t) {
+            TermKind::Var(v) => match map.get(&v) {
+                Some(&rhs) if resolve => self.substitute_memo(rhs, map, resolve, memo),
+                Some(&rhs) => rhs,
+                None => t,
+            },
+            _ => self.map_children(t, |pool, c| pool.substitute_memo(c, map, resolve, memo)),
         };
         memo.insert(t, r);
         r

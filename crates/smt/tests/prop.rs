@@ -9,15 +9,27 @@
 //! * every preprocessing pass must preserve satisfiability of the
 //!   existential closure (the pass may introduce fresh variables — they are
 //!   existential too);
-//! * quantifier elimination must preserve satisfiability.
+//! * quantifier elimination must preserve satisfiability;
+//! * the fragment pipelines (`preprocess_protected`,
+//!   `preprocess_fragment_seeded_ext`) must keep the formula's projection
+//!   onto a random protected set: for every assignment of the protected
+//!   variables, φ is satisfiable exactly when pre(φ) is;
+//! * the pipelines stop below their round cap, at a fixpoint: running
+//!   the pipeline or any of its passes again on the output returns the
+//!   same term.
 
+use fusion_smt::egraph::EGraphConfig;
+use fusion_smt::fxhash::FxHashSet;
 use fusion_smt::preprocess::{
-    eliminate_unconstrained, gaussian_eliminate, preprocess, propagate_constants,
-    propagate_equalities, reduce_strength, simplify,
+    eliminate_unconstrained, eliminate_unconstrained_protected, gaussian_eliminate,
+    gaussian_eliminate_protected, preprocess, preprocess_fragment_seeded_ext, preprocess_protected,
+    propagate_constants, propagate_constants_protected, propagate_equalities,
+    propagate_equalities_protected, reduce_strength, refute_by_known_bits, simplify, BitsSeeds,
+    MAX_ROUNDS,
 };
 use fusion_smt::solver::{smt_solve, SolverConfig};
 use fusion_smt::tactic::quantifier_eliminate;
-use fusion_smt::term::{BvOp, BvPred, Sort, TermId, TermKind, TermPool, Value};
+use fusion_smt::term::{BvOp, BvPred, Sort, TermId, TermKind, TermPool, Value, VarIdx};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -156,8 +168,155 @@ fn brute_force_sat(pool: &TermPool, t: TermId) -> bool {
     false
 }
 
+/// Bits a variable ranges over (booleans: one).
+fn var_bits(pool: &TermPool, v: VarIdx) -> u32 {
+    match pool.var_sort(v) {
+        Sort::Bool => 1,
+        Sort::Bv(w) => w,
+    }
+}
+
+/// Calls `f` with every assignment of `vars` layered over `base`.
+fn for_each_assignment(
+    pool: &TermPool,
+    vars: &[VarIdx],
+    base: &HashMap<VarIdx, u64>,
+    f: &mut dyn FnMut(&HashMap<VarIdx, u64>) -> bool,
+) -> bool {
+    let total: u32 = vars.iter().map(|&v| var_bits(pool, v)).sum();
+    assert!(total <= 20, "too many bits for brute force");
+    for bits in 0..1u64 << total {
+        let mut env = base.clone();
+        let mut shift = 0;
+        for &v in vars {
+            let w = var_bits(pool, v);
+            env.insert(v, (bits >> shift) & ((1 << w) - 1));
+            shift += w;
+        }
+        if f(&env) {
+            return true;
+        }
+    }
+    false
+}
+
+/// For each assignment of `protected` (in enumeration order): whether some
+/// assignment of `t`'s other free variables satisfies `t`.
+fn projection(pool: &TermPool, t: TermId, protected: &[VarIdx]) -> Vec<bool> {
+    let others: Vec<VarIdx> = pool
+        .free_vars(t)
+        .into_iter()
+        .filter(|v| !protected.contains(v))
+        .collect();
+    let mut out = Vec::new();
+    for_each_assignment(pool, protected, &HashMap::new(), &mut |env| {
+        out.push(for_each_assignment(pool, &others, env, &mut |full| {
+            pool.eval(t, full) == Value::Bool(true)
+        }));
+        false
+    });
+    out
+}
+
+/// The free variables of `t` picked by the bits of `mask`, as a list and
+/// as the set the pipelines take.
+fn protected_subset(pool: &TermPool, t: TermId, mask: u8) -> (Vec<VarIdx>, FxHashSet<VarIdx>) {
+    let picked: Vec<VarIdx> = pool
+        .free_vars(t)
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| mask >> i & 1 == 1)
+        .map(|(_, v)| v)
+        .collect();
+    let set = picked.iter().copied().collect();
+    (picked, set)
+}
+
+/// Whether the fresh variables `t` gained over its original stay
+/// enumerable next to the protected ones.
+fn small_enough(pool: &TermPool, t: TermId) -> bool {
+    pool.free_vars(t)
+        .iter()
+        .map(|&v| var_bits(pool, v))
+        .sum::<u32>()
+        <= 16
+}
+
+/// Pass `i` of the pipelines' schedule, in its protected variant.
+fn run_pass(pool: &mut TermPool, i: usize, t: TermId, protected: &FxHashSet<VarIdx>) -> TermId {
+    match i {
+        0 => reduce_strength(pool, t),
+        1 => refute_by_known_bits(pool, t),
+        2 => propagate_constants_protected(pool, t, protected),
+        3 => propagate_equalities_protected(pool, t, protected),
+        4 => gaussian_eliminate_protected(pool, t, protected),
+        _ => eliminate_unconstrained_protected(pool, t, protected),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn protected_pipeline_keeps_the_projection(ast in bool_strategy(), mask in 0u8..8) {
+        let mut pool = TermPool::new();
+        let f = build_bool(&mut pool, &ast);
+        let (picked, protected) = protected_subset(&pool, f, mask);
+        let expected = projection(&pool, f, &picked);
+        let pre = preprocess_protected(&mut pool, f, &protected);
+        prop_assume!(small_enough(&pool, pre.term));
+        prop_assert_eq!(projection(&pool, pre.term, &picked), expected,
+            "orig {} pre {}", pool.display(f), pool.display(pre.term));
+    }
+
+    #[test]
+    fn fragment_pipeline_keeps_the_projection(ast in bool_strategy(), mask in 0u8..8) {
+        let mut pool = TermPool::new();
+        let f = build_bool(&mut pool, &ast);
+        let (picked, protected) = protected_subset(&pool, f, mask);
+        let expected = projection(&pool, f, &picked);
+        let (pre, _) = preprocess_fragment_seeded_ext(
+            &mut pool, f, &protected, &BitsSeeds::new(), &EGraphConfig::default());
+        prop_assume!(small_enough(&pool, pre.term));
+        prop_assert_eq!(projection(&pool, pre.term, &picked), expected,
+            "orig {} pre {}", pool.display(f), pool.display(pre.term));
+    }
+
+    #[test]
+    fn pipelines_stop_at_a_fixpoint_below_the_round_cap(ast in bool_strategy(), mask in 0u8..8) {
+        let mut pool = TermPool::new();
+        let f = build_bool(&mut pool, &ast);
+        let (_, protected) = protected_subset(&pool, f, mask);
+        let pre = preprocess_protected(&mut pool, f, &protected);
+        prop_assert!(pre.rounds < MAX_ROUNDS, "{}", pool.display(f));
+        let again = preprocess_protected(&mut pool, pre.term, &protected);
+        prop_assert_eq!(again.term, pre.term, "protected: {}", pool.display(pre.term));
+        for pass in 0..6 {
+            let out = run_pass(&mut pool, pass, pre.term, &protected);
+            prop_assert_eq!(out, pre.term, "pass {} moved {}", pass, pool.display(pre.term));
+        }
+
+        // The fragment pipeline runs every pass but unconstrained-variable
+        // elimination. Its e-graph leg is bounded saturation, which on the
+        // smaller output of one run can find rewrites it missed on the
+        // input, so idempotence is checked with the leg off; with it on,
+        // the output must still be a fixpoint of every pass.
+        let seeds = BitsSeeds::new();
+        for egraph in [EGraphConfig::disabled(), EGraphConfig::default()] {
+            let (pre, _) =
+                preprocess_fragment_seeded_ext(&mut pool, f, &protected, &seeds, &egraph);
+            prop_assert!(pre.rounds < MAX_ROUNDS, "{}", pool.display(f));
+            if !egraph.enabled {
+                let (again, _) =
+                    preprocess_fragment_seeded_ext(&mut pool, pre.term, &protected, &seeds, &egraph);
+                prop_assert_eq!(again.term, pre.term, "fragment: {}", pool.display(pre.term));
+            }
+            for pass in 0..5 {
+                let out = run_pass(&mut pool, pass, pre.term, &protected);
+                prop_assert_eq!(out, pre.term, "pass {} moved {}", pass, pool.display(pre.term));
+            }
+        }
+    }
 
     #[test]
     fn solver_agrees_with_brute_force(ast in bool_strategy()) {

@@ -7,6 +7,10 @@
 //! every other one) written as `\uXXXX`, astral characters as surrogate
 //! pairs.
 //!
+//! Numbers: the decoder accepts only the JSON number grammar, so every
+//! number the serve responder writes (integers and `f64`s with `{}`) must
+//! still decode to the value written.
+//!
 //! Scale: a `scan` request carrying a source of more than 4 MiB is
 //! decoded and answered through `serve_loop`. The decoder copies string
 //! contents a run at a time, so this takes milliseconds; a decoder that
@@ -81,6 +85,63 @@ proptest! {
         let req = format!("{{\"cmd\": \"scan\", \"source\": \"{}\"}}", escape(&s));
         let v = Value::parse(&req).unwrap();
         prop_assert_eq!(v.get("source").and_then(Value::as_str), Some(s.as_str()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn responder_numbers_round_trip(bits in any::<u64>(), n in any::<u64>()) {
+        // Timings are `f64`s and counters integers, both written with `{}`.
+        let x = f64::from_bits(bits);
+        prop_assume!(x.is_finite());
+        let doc = format!("{{\"ms\": {x}, \"n\": {n}, \"frac\": {}}}", n as f64 / 1e3);
+        let v = Value::parse(&doc).unwrap();
+        prop_assert_eq!(v.get("ms").and_then(Value::as_f64), Some(x));
+        prop_assert_eq!(v.get("n").and_then(Value::as_f64), Some(n as f64));
+        prop_assert_eq!(v.get("frac").and_then(Value::as_f64), Some(n as f64 / 1e3));
+    }
+}
+
+/// Every number in `v`, depth first.
+fn numbers(v: &Value, out: &mut Vec<f64>) {
+    match v {
+        Value::Num(x) => out.push(*x),
+        Value::Arr(items) => items.iter().for_each(|i| numbers(i, out)),
+        Value::Obj(members) => members.iter().for_each(|(_, m)| numbers(m, out)),
+        _ => {}
+    }
+}
+
+#[test]
+fn serve_responses_decode_and_their_numbers_round_trip() {
+    let program = "extern fn deref(p);\n\
+        fn f(x) { let q = null; let r = 1; if (x > 3) { r = q; } deref(r); return 0; }\n";
+    let request = format!(
+        "{{\"cmd\": \"scan\", \"source\": \"{}\"}}\n{{\"cmd\": \"stats\"}}\n\
+         {{\"cmd\": \"shutdown\"}}\n",
+        escape(program)
+    );
+    let mut out = Vec::new();
+    let opts = fusion_cli::Options {
+        serve: true,
+        ..Default::default()
+    };
+    assert_eq!(
+        fusion_cli::serve::serve_loop(&opts, Cursor::new(request), &mut out),
+        0
+    );
+    let text = String::from_utf8(out).unwrap();
+    let mut all = Vec::new();
+    for line in text.lines() {
+        let v = Value::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{line}");
+        numbers(&v, &mut all);
+    }
+    assert!(all.len() > 10, "{text}");
+    for x in all {
+        assert_eq!(Value::parse(&format!("{x}")), Ok(Value::Num(x)));
     }
 }
 
